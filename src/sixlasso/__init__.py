@@ -28,6 +28,7 @@ from .metrics import (
     classify_accuracy,
     direction_error,
     norm_gap,
+    plane_coordinates,
     support_metrics,
 )
 from .model import (

@@ -43,6 +43,11 @@ RECORD_COLUMNS = (
 
 SUMMARY_COLUMNS = ("estimator", "n", "metric", "q25", "median", "q75")
 
+SWEEP_CONFIG_KEYS = (
+    "p", "s", "n_grid", "link", "radius_rule", "radius", "reps", "seed", "signal_mode",
+    "estimators", "test_n", "fresh_signal", "tol", "max_iter", "out", "out_svg",
+)
+
 _COLORS = {"lasso": "#1f77b4", "pv": "#d62728"}
 
 
@@ -227,11 +232,17 @@ def read_numeric_csv(path: str, what: str) -> np.ndarray:
             except ValueError:
                 raise InputError(f"{what} file {path}: line {i + 1}, column {j + 1}: "
                                  f"non-numeric value {cell!r}") from None
+            if not np.isfinite(data[i, j]):
+                raise InputError(f"{what} file {path}: line {i + 1}, column {j + 1}: "
+                                 f"non-finite value {cell!r}")
     return data
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat key=value config; blank lines and #-comments are ignored."""
+    """Flat key=value sweep config; blank lines and #-comments are ignored.
+
+    A key outside SWEEP_CONFIG_KEYS is an input error naming its line.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -245,7 +256,11 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"config {path}: line {i}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in SWEEP_CONFIG_KEYS:
+            raise InputError(f"config {path}: line {i}: unknown key {key!r}; "
+                             f"expected one of {', '.join(SWEEP_CONFIG_KEYS)}")
+        out[key] = value.strip()
     return out
 
 

@@ -16,7 +16,14 @@ from multiprocessing import get_context
 import numpy as np
 
 from .errors import EmptyRecords, SixLassoError
-from .metrics import TrialMetrics, classify_accuracy, direction_error, norm_gap, support_metrics
+from .metrics import (
+    TrialMetrics,
+    classify_accuracy,
+    direction_error,
+    norm_gap,
+    plane_coordinates,
+    support_metrics,
+)
 from .model import (
     RANDOM_MAGNITUDE,
     TrueSignal,
@@ -37,6 +44,10 @@ _MASK64 = (1 << 64) - 1
 _TEST_TAG = 0x74657374  # ascii "test": separates the held-out stream
 _SIGNAL_TAG = 0x7369676E616C  # ascii "signal": separates the signal stream
 
+# The held-out set lives in the plane of beta* and beta_hat: its first axis
+# is beta*/||beta*||, its second the unit vector along the rest of beta_hat.
+_PLANE = TrueSignal(beta=np.array([1.0, 0.0]), p=2, s=1, support=np.array([0]))
+
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: the 64-bit mixing step behind all derived seeds."""
@@ -56,6 +67,11 @@ class SweepSpec:
     ("lasso", "pv") order so that trial ids do not depend on input order.
     The signal is drawn once per sweep by default; set
     fresh_signal_per_trial for a new signal every trial.
+
+    test_n is the number of held-out rows each trial scores test_accuracy
+    on.  The rows are drawn in the plane of beta* and beta_hat (two normals
+    each, not p; see run_trial), which leaves the accuracy's distribution
+    exactly as for test_n full p-dimensional rows.
     """
 
     p: int
@@ -95,6 +111,9 @@ class SweepSpec:
         if self.radius_rule == "explicit":
             if self.radius_value is None or self.radius_value <= 0:
                 raise ValueError("explicit radius_rule needs radius_value > 0")
+            if "pv" in self.estimators and self.radius_value < 1:
+                raise ValueError(f"the pv estimator needs radius_value >= 1, "
+                                 f"got {self.radius_value}")
         if self.test_n < 1:
             raise ValueError("test_n must be >= 1")
         get_link(self.link)  # validates the tag
@@ -192,6 +211,15 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     result is a pure function of (spec, cell, estimator, solver_config).
     Domain failures (degenerate fits) become a failed-trial record with
     direction_error pinned at 2; they never abort a sweep.
+
+    test_accuracy scores beta_hat on spec.test_n held-out rows drawn in the
+    plane of beta* and beta_hat rather than in R^p.  For x ~ N(0, I_p) and
+    an orthonormal basis (u, v) of that plane with u along beta*, x'u and
+    x'v are i.i.d. N(0, 1); the label depends on x only through x'u, and
+    x'beta_hat = a x'u + c x'v with (a, c) = plane_coordinates(beta_hat,
+    beta*).  Scoring (a, c) on 2-column rows labelled through their first
+    column therefore has exactly the distribution of scoring beta_hat on
+    p-column rows labelled through beta*.
     """
     n, rep = cell
     tid = trial_id_for(spec, n, rep, estimator)
@@ -205,7 +233,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
 
     link = get_link(spec.link)
     train = generate_dataset(signal, n, link, seed)
-    test = generate_dataset(signal, spec.test_n, link, mix64(seed ^ _TEST_TAG))
+    test = generate_dataset(_PLANE, spec.test_n, link, mix64(seed ^ _TEST_TAG))
     if link.kind == "linear":
         # regression mode: score sign agreement against the sign of the response
         test = replace(test, y=np.where(test.y >= 0, 1.0, -1.0))
@@ -226,7 +254,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
             norm_gap=norm_gap(beta_hat, lam),
             support_precision=prec,
             support_recall=rec,
-            test_accuracy=classify_accuracy(beta_hat, test),
+            test_accuracy=classify_accuracy(plane_coordinates(beta_hat, signal.beta), test),
         )
     except SixLassoError:
         metrics = _failed_metrics(lam)

@@ -73,6 +73,21 @@ def support_metrics(beta_hat: np.ndarray, signal: TrueSignal,
     return precision, recall
 
 
+def plane_coordinates(beta_hat: np.ndarray, beta_star: np.ndarray) -> np.ndarray:
+    """Coordinates (a, c) of beta_hat in an orthonormal basis (u, v) of the
+    plane spanned by beta_star and beta_hat: u = beta_star/||beta_star||,
+    a = <beta_hat, u> and c = ||beta_hat - a u|| >= 0.
+
+    run_trial scores these on a 2-column test set; its docstring says why
+    that is exact in distribution.
+    """
+    bh = np.asarray(beta_hat, dtype=float)
+    u = np.asarray(beta_star, dtype=float)
+    u = u / np.linalg.norm(u)
+    a = float(bh @ u)
+    return np.array([a, float(np.linalg.norm(bh - a * u))])
+
+
 def classify_accuracy(beta_hat: np.ndarray, test: Dataset) -> float:
     """Fraction of test rows with sign(x'beta_hat) equal to the label.
 

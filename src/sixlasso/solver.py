@@ -157,7 +157,8 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
     unless the certificate happens to hold).
 
     The (1/n) normalization does not move the argmin of the unnormalized
-    residual sum; it keeps step sizes O(1) across sample sizes.
+    residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
+    infinite entry in X or y raises ValueError.
     """
     if config is None:
         config = SolverConfig()
@@ -165,6 +166,8 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
     n, p = X.shape
 
     L = lipschitz_estimate(X, config.power_iters)

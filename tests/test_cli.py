@@ -100,11 +100,13 @@ class TestFitCommand:
     def test_non_numeric_cell_diagnostic(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
         labels = tmp_path / "y.csv"
-        design.write_text("1,0\n0,zebra\n")
         labels.write_text("1\n0\n")
-        code, _, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
-        assert code == 2
-        assert "line 2" in err and "column 2" in err and "zebra" in err
+        for cell in ("zebra", "nan", "inf", "-Infinity"):
+            design.write_text(f"1,0\n0,{cell}\n")
+            code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+            assert code == 2, cell
+            assert out == ""
+            assert "line 2" in err and "column 2" in err and cell in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "no.csv"),
@@ -228,6 +230,26 @@ class TestSweepCommand:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert "line 1" in err
+
+    def test_unknown_config_key_names_key_and_line(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG + "tset_n = 50\n")
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "tset_n" in err and "line 10" in err
+        assert not out.exists()
+
+    def test_pv_with_explicit_radius_below_one_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out),
+                               "--estimators", "lasso,pv", "--radius-rule", "explicit",
+                               "--radius", "0.5")
+        assert code == 2
+        assert "radius_value >= 1" in err
+        assert not out.exists()
 
     def test_unwritable_output_is_exit_3(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

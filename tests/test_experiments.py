@@ -6,18 +6,33 @@ import numpy as np
 import pytest
 
 from sixlasso import (
+    Dataset,
     EmptyRecords,
+    FitResult,
     SweepSpec,
     TrialMetrics,
     TrialRecord,
+    ZeroVector,
+    classify_accuracy,
     compute_lambda,
+    fit_lasso,
+    generate_dataset,
     get_link,
+    make_signal,
     mix64,
+    plane_coordinates,
     run_sweep,
     run_trial,
     summarize,
 )
-from sixlasso.experiments import resolve_radius, sweep_signal, trial_id_for, trial_seed
+from sixlasso.experiments import (
+    _PLANE,
+    _TEST_TAG,
+    resolve_radius,
+    sweep_signal,
+    trial_id_for,
+    trial_seed,
+)
 
 
 def smoke_spec(**overrides):
@@ -79,6 +94,12 @@ class TestSweepSpecValidation:
     def test_bad_link_rejected(self):
         with pytest.raises(ValueError):
             smoke_spec(link="cauchy")
+
+    def test_pv_needs_explicit_radius_of_at_least_one(self):
+        with pytest.raises(ValueError, match="pv"):
+            smoke_spec(estimators=("lasso", "pv"), radius_rule="explicit", radius_value=0.5)
+        smoke_spec(estimators=("lasso",), radius_rule="explicit", radius_value=0.5)
+        smoke_spec(estimators=("pv",), radius_rule="explicit", radius_value=1.0)
 
 
 class TestRadiusRules:
@@ -187,6 +208,125 @@ class TestRunSweep:
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")
         with pytest.raises(ValueError):
             run_sweep(smoke_spec())
+
+
+def _plane_test_set(n, link, seed):
+    """The held-out set as run_trial draws it, labels included."""
+    test = generate_dataset(_PLANE, n, link, seed)
+    if link.kind == "linear":
+        test = dataclasses.replace(test, y=np.where(test.y >= 0, 1.0, -1.0))
+    return test
+
+
+def _plane_score(beta_hat, beta_star, test):
+    return classify_accuracy(plane_coordinates(beta_hat, beta_star), test)
+
+
+def _at_correlation(u, rho, rng, scale=1.0):
+    """A vector at cosine rho to the unit vector u."""
+    w = rng.standard_normal(u.size)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    return scale * (rho * u + np.sqrt(1.0 - rho * rho) * w)
+
+
+class TestPlaneScoring:
+    """run_trial scores beta_hat by its coordinates in the plane of beta*
+    and beta_hat, on a 2-column held-out set."""
+
+    def test_coordinates(self):
+        u = np.array([0.6, 0.8, 0.0])
+        a, c = plane_coordinates(np.array([3.0, 4.0, 12.0]), 2.0 * u)
+        assert a == pytest.approx(5.0) and c == pytest.approx(12.0)
+        np.testing.assert_allclose(plane_coordinates(-2.5 * u, u), [-2.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["sign", "logistic", "probit", "linear"])
+    def test_embedded_set_scores_identically(self, name):
+        """Embedding the plane set in R^p as Z @ [u, v]^T and scoring beta_hat
+        there gives the plane score exactly, case by case."""
+        link = get_link(name)
+        rng = np.random.default_rng(41)
+        p = 40
+        u = make_signal(p, 4, "random", seed=42).beta
+        cases = [c * u for c in (1.0, 0.3, 7.0, -0.5, -4.0)]
+        cases += [rng.standard_normal(p) for _ in range(6)]
+        cases += [_at_correlation(u, rho, rng, 2.0) for rho in (0.999, -0.2)]
+        for i, beta_hat in enumerate(cases):
+            plane = _plane_test_set(5000, link, seed=100 + i)
+            a, c = plane_coordinates(beta_hat, u)
+            if c > 1e-12 * abs(a):
+                v = (beta_hat - a * u) / c
+            else:  # beta_hat on the beta* axis: any unit v orthogonal to u
+                v = _at_correlation(u, 0.0, rng)
+            embedded = Dataset(X=plane.X @ np.vstack([u, v]), y=plane.y, n=plane.n,
+                               link_kind=name, seed=0)
+            assert classify_accuracy(beta_hat, embedded) == _plane_score(beta_hat, u, plane)
+
+    @pytest.mark.parametrize("name", ["sign", "linear", "probit"])
+    def test_mean_matches_population_accuracy(self, name):
+        # P(sign(x'beta_hat) = y) at cosine rho; probit labels are
+        # sign(x'beta* + e) with e ~ N(0, 1), at cosine rho / sqrt(2)
+        shrink = np.sqrt(2.0) if name == "probit" else 1.0
+
+        def closed_form(rho):
+            return 0.5 + np.arcsin(rho / shrink) / np.pi
+
+        link = get_link(name)
+        rng = np.random.default_rng(43)
+        u = make_signal(30, 5, "random", seed=44).beta
+        for rho in (-0.4, 0.5, 0.98):
+            beta_hat = _at_correlation(u, rho, rng, 3.0)
+            scores = np.array([_plane_score(beta_hat, u, _plane_test_set(10_000, link, seed))
+                               for seed in range(100)])
+            se = scores.std(ddof=1) / np.sqrt(scores.size)
+            assert abs(scores.mean() - closed_form(rho)) <= 3.0 * se, (rho, scores.mean())
+
+    def test_logistic_mean_matches_full_dimensional_scoring(self):
+        link = get_link("logistic")
+        rng = np.random.default_rng(45)
+        sig = make_signal(30, 5, "random", seed=46)
+        for rho in (0.3, 0.9):
+            beta_hat = _at_correlation(sig.beta, rho, rng, 0.7)
+            plane = np.array([_plane_score(beta_hat, sig.beta,
+                                           _plane_test_set(10_000, link, seed))
+                              for seed in range(100)])
+            full = np.array([classify_accuracy(beta_hat,
+                                               generate_dataset(sig, 10_000, link, 500 + seed))
+                             for seed in range(100)])
+            se = np.sqrt(plane.var(ddof=1) / plane.size + full.var(ddof=1) / full.size)
+            assert abs(plane.mean() - full.mean()) <= 3.0 * se, (rho, plane.mean(), full.mean())
+
+    def test_run_trial_scores_in_the_plane(self):
+        spec = smoke_spec(p=60, s=3, test_n=2000)
+        signal = sweep_signal(spec)
+        link = get_link(spec.link)
+        for n in spec.n_grid:
+            for rep in range(spec.reps):
+                rec = run_trial(spec, (n, rep), "lasso")
+                train = generate_dataset(signal, n, link, rec.seed)
+                fit = fit_lasso(train, resolve_radius(spec))
+                test = _plane_test_set(spec.test_n, link, mix64(rec.seed ^ _TEST_TAG))
+                assert rec.metrics.test_accuracy == _plane_score(fit.beta_hat, signal.beta,
+                                                                 test)
+
+    def test_zero_fit_is_a_failed_record(self, monkeypatch):
+        spec = smoke_spec()
+
+        def zero_fit(data, radius, config=None):
+            zero = np.zeros(data.X.shape[1])
+            return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
+                             radius=radius, l2_norm=0.0, fp_residual=0.0,
+                             objective_path=np.ones(4))
+
+        monkeypatch.setattr("sixlasso.experiments.fit_lasso", zero_fit)
+        rec = run_trial(spec, (50, 0), "lasso")
+        m = rec.metrics
+        assert m.direction_error == 2.0 and np.isnan(m.raw_l2_error)
+        assert np.isnan(m.test_accuracy)
+        assert not rec.converged and rec.iterations == 0
+        with pytest.raises(ZeroVector):
+            _plane_score(np.zeros(spec.p), sweep_signal(spec).beta,
+                         _plane_test_set(10, get_link("sign"), 0))
 
 
 def _record(estimator, n, trial_id, value):

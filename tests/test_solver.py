@@ -172,6 +172,15 @@ class TestFitLasso:
         with pytest.raises(NegativeRadius):
             fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), radius=-1.0)
 
+    def test_non_finite_input_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.eye(3)
+            X[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_lasso(_dataset(X, [1.0, 0.0, 0.0]), radius=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                fit_lasso(_dataset(np.eye(3), [1.0, bad, 0.0]), radius=1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
