@@ -241,7 +241,8 @@ def read_numeric_csv(path: str, what: str) -> np.ndarray:
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value sweep config; blank lines and #-comments are ignored.
 
-    A key outside SWEEP_CONFIG_KEYS is an input error naming its line.
+    A key outside SWEEP_CONFIG_KEYS, or a key given twice, is an input error
+    naming its line (both lines for a repeated key).
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -249,6 +250,7 @@ def load_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -260,6 +262,10 @@ def load_config(path: str) -> dict[str, str]:
         if key not in SWEEP_CONFIG_KEYS:
             raise InputError(f"config {path}: line {i}: unknown key {key!r}; "
                              f"expected one of {', '.join(SWEEP_CONFIG_KEYS)}")
+        if key in line_of:
+            raise InputError(f"config {path}: line {i}: key {key!r} already given "
+                             f"on line {line_of[key]}")
+        line_of[key] = i
         out[key] = value.strip()
     return out
 

@@ -114,6 +114,9 @@ class SweepSpec:
             if "pv" in self.estimators and self.radius_value < 1:
                 raise ValueError(f"the pv estimator needs radius_value >= 1, "
                                  f"got {self.radius_value}")
+        elif self.radius_value is not None:
+            raise ValueError(f"radius_value is used only by radius_rule 'explicit', "
+                             f"not {self.radius_rule!r}")
         if self.test_n < 1:
             raise ValueError("test_n must be >= 1")
         get_link(self.link)  # validates the tag
@@ -326,7 +329,9 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
     """Per-(estimator, n) quantiles of every metric.
 
     Quantiles use the "lower" interpolation convention (always an observed
-    value).  Rows come out sorted by (estimator, n, metric order).
+    value) and are taken over the finite values, so a failed trial's NaN
+    metrics drop out; a cell where every trial failed gives NaN.  Rows come
+    out sorted by (estimator, n, metric order).
     """
     if not records:
         raise EmptyRecords("no records to summarize")
@@ -338,6 +343,8 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
         group = cells[(est, n)]
         for name in METRIC_FIELDS:
             vals = np.array([getattr(rec.metrics, name) for rec in group])
-            q25, med, q75 = (np.quantile(vals, q, method="lower") for q in (0.25, 0.5, 0.75))
+            vals = vals[np.isfinite(vals)]
+            q25, med, q75 = (np.quantile(vals, q, method="lower") if vals.size else np.nan
+                             for q in (0.25, 0.5, 0.75))
             rows.append(SummaryRow(est, n, name, float(q25), float(med), float(q75)))
     return rows

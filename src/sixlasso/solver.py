@@ -15,52 +15,40 @@ import numpy as np
 from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
-FIXED_LIPSCHITZ = "fixed_lipschitz"
-BACKTRACKING = "backtracking"
-
 _MAX_BACKTRACKS = 60
+_CERT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient settings.
+    """Projected-gradient stopping settings.
 
-    tol is the relative objective-change threshold that triggers the
-    convergence check; cert_tol is the fixed-point residual
-    ||beta - P(beta - grad/L)||_2 a fit must additionally satisfy before it
-    is flagged converged.  step_rule "fixed_lipschitz" restarts every
-    iteration from the 1/L step (shrinking transiently when it overshoots);
-    "backtracking" keeps the shrunk step for later iterations.
+    tol is the relative objective decrease below which the fit checks its
+    certificate and may stop; max_iter caps the iterations.  Every iteration
+    starts from the 1/L step and halves it while the step would raise the
+    objective.
     """
 
     tol: float = 1e-9
     max_iter: int = 5000
-    step_rule: str = FIXED_LIPSCHITZ
-    power_iters: int = 100
-    backtrack_shrink: float = 0.5
-    cert_tol: float = 1e-6
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise ValueError("backtrack_shrink must be in (0, 1)")
-        if self.step_rule not in (FIXED_LIPSCHITZ, BACKTRACKING):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Fitted coefficients plus solver diagnostics.
 
-    objective is (1/n)||y - X beta_hat||_2^2 recomputed from the final
-    iterate; fp_residual is the projected-gradient fixed-point residual at
-    beta_hat (the optimality certificate); objective_path records the
-    accepted objective value at every iteration (non-increasing).
+    objective is (1/n)||y - X beta_hat||_2^2 at the final iterate;
+    fp_residual is the projected-gradient fixed-point residual
+    ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
+    converged is true when the fit stopped on its own, not by running out of
+    max_iter, and fp_residual <= 1e-6; objective_path records the accepted
+    objective value at every iteration (non-increasing).
     """
 
     beta_hat: np.ndarray
@@ -140,21 +128,17 @@ def lipschitz_estimate(X: np.ndarray, iters: int = 100) -> float:
     return 1.05 * lam
 
 
-def _objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    r = X @ beta - y
-    return float(r @ r) / X.shape[0]
-
-
 def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
     Projected gradient from beta = 0 with step 1/L (L from
     lipschitz_estimate).  Every accepted step is forced non-increasing in the
-    objective by shrinking the step when needed, so objective_path is
-    monotone.  Termination: the relative objective decrease drops below
-    config.tol and the fixed-point certificate passes (converged=True), the
-    iterate stops moving entirely, or max_iter is hit (converged=False
-    unless the certificate happens to hold).
+    objective by halving the step when needed, so objective_path is
+    monotone.  The fit stops early when no halved step keeps the objective
+    from rising, or when the relative objective decrease drops below
+    config.tol and either the fixed-point certificate passes or the iterate
+    stopped moving.  converged is true only for an early stop whose
+    certificate passes; a fit that runs out of max_iter is never converged.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
@@ -170,63 +154,56 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
         raise ValueError("X and y must be finite")
     n, p = X.shape
 
-    L = lipschitz_estimate(X, config.power_iters)
-    base_step = 1.0 / L
+    base_step = 1.0 / lipschitz_estimate(X)
 
     beta = np.zeros(p)
     resid = -y.copy()  # X @ 0 - y
     f = float(resid @ resid) / n
     path = [f]
-    step = base_step
-    converged = False
-    iterations = 0
 
     def cert_residual(b, g):
         return float(np.linalg.norm(b - project_l1_ball(b - base_step * g, radius)))
 
     grad = (2.0 / n) * (X.T @ resid)
+    fp_residual = None  # certificate at beta, once computed
+    stopped = False
     for iterations in range(1, config.max_iter + 1):
-        if config.step_rule == FIXED_LIPSCHITZ:
-            step = base_step
-        candidate = project_l1_ball(beta - step * grad, radius)
-        cand_resid = X @ candidate - y
-        f_new = float(cand_resid @ cand_resid) / n
-        backtracks = 0
-        while f_new > f and backtracks < _MAX_BACKTRACKS:
-            step *= config.backtrack_shrink
+        step = base_step
+        for _ in range(_MAX_BACKTRACKS + 1):
             candidate = project_l1_ball(beta - step * grad, radius)
             cand_resid = X @ candidate - y
             f_new = float(cand_resid @ cand_resid) / n
-            backtracks += 1
+            if f_new <= f:
+                break
+            step *= 0.5
         if f_new > f:
             # no non-increasing step found: numerically stationary
             path.append(f)
-            converged = cert_residual(beta, grad) <= config.cert_tol
+            stopped = True
             break
         moved = not np.array_equal(candidate, beta)
         rel_drop = (f - f_new) / max(f, 1e-300)
         beta, resid, f = candidate, cand_resid, f_new
         path.append(f)
         grad = (2.0 / n) * (X.T @ resid)
+        fp_residual = None
         if rel_drop < config.tol:
-            if cert_residual(beta, grad) <= config.cert_tol:
-                converged = True
+            fp_residual = cert_residual(beta, grad)
+            # a fixed point whose certificate fails gives up honestly
+            if fp_residual <= _CERT_TOL or not moved:
+                stopped = True
                 break
-            if not moved:
-                break  # fixed point reached but certificate fails: give up honestly
-    else:
-        last_drop = (path[-2] - f) / max(path[-2], 1e-300)
-        converged = last_drop < config.tol and cert_residual(beta, grad) <= config.cert_tol
+    if fp_residual is None:
+        fp_residual = cert_residual(beta, grad)
 
-    final_obj = _objective(X, y, beta)
     return FitResult(
         beta_hat=beta,
-        objective=final_obj,
+        objective=f,
         iterations=iterations,
-        converged=converged,
+        converged=stopped and fp_residual <= _CERT_TOL,
         radius=float(radius),
         l2_norm=float(np.linalg.norm(beta)),
-        fp_residual=cert_residual(beta, (2.0 / n) * (X.T @ (X @ beta - y))),
+        fp_residual=fp_residual,
         objective_path=np.asarray(path),
     )
 
@@ -234,12 +211,15 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
 def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     """Maximize <X'y, beta> over ||beta||_1 <= l1_radius, ||beta||_2 <= 1.
 
-    With g = X'y: if g/||g||_2 is already l1-feasible it is the exact
-    maximizer.  Otherwise bisect a soft-threshold level theta on
-    w(theta) = soft(g, theta)/||soft(g, theta)||_2 until ||w||_1 hits the
-    radius.  When tied entries of |g| make ||w||_1 plateau short of the
-    radius, the plateau point is scaled onto the l1 sphere, which is the
-    symmetric maximizer on the degenerate face.
+    With g = X'y and R = l1_radius: if g/||g||_2 is already l1-feasible it
+    is the exact maximizer.  Otherwise the maximizer is
+    w = soft(g, theta)/||soft(g, theta)||_2 with ||w||_1 = R.  Sort |g|
+    descending; with the top k entries active, of mean m and variance v,
+    ||soft||_1 = R ||soft||_2 solves to theta_k = m - R sqrt(v/(k - R^2)).
+    The active count is the smallest k > R^2 whose theta_k is at least the
+    (k+1)-th largest |g|, as in the sort-and-threshold of project_l1_ball.
+    When at least R^2 entries tie for the largest |g|, no threshold reaches
+    the l1 sphere, and the maximizer is that tied face scaled onto it.
     """
     if l1_radius < 1.0:
         raise ValueError(f"l1_radius must be >= 1 (got {l1_radius}); "
@@ -251,22 +231,19 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     w = g / gnorm
     if np.abs(w).sum() <= l1_radius:
         return w
-    lo, hi = 0.0, float(np.abs(g).max())
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        sv = np.sign(g) * np.maximum(np.abs(g) - theta, 0.0)
-        nv = np.linalg.norm(sv)
-        if nv == 0.0:
-            hi = theta
-            continue
-        w = sv / nv
-        l1 = np.abs(w).sum()
-        if abs(l1 - l1_radius) <= 1e-9:
-            return w
-        if l1 > l1_radius:
-            lo = theta
-        else:
-            hi = theta
-    if np.abs(w).sum() > l1_radius:
-        w = w * (l1_radius / np.abs(w).sum())
-    return w
+    a = np.abs(g)
+    u = np.sort(a)[::-1]
+    r2 = l1_radius * l1_radius
+    tied = np.count_nonzero(a == u[0])
+    if tied >= r2:
+        return np.where(a == u[0], np.sign(g), 0.0) * (l1_radius / tied)
+    ks = np.arange(1, u.size + 1)
+    d = u - u[0]  # shifted by the top value so the variance does not cancel
+    mean_d = np.cumsum(d) / ks
+    var = np.maximum(np.cumsum(d * d) / ks - mean_d * mean_d, 0.0)
+    big = ks > r2
+    theta = u[0] + mean_d[big] - l1_radius * np.sqrt(var[big] / (ks[big] - r2))
+    below = np.append(u[1:], -np.inf)[big]
+    k = np.argmax(theta >= below)
+    w = np.sign(g) * np.maximum(a - theta[k], 0.0)
+    return w / np.linalg.norm(w)

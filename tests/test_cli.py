@@ -240,6 +240,25 @@ class TestSweepCommand:
         assert "tset_n" in err and "line 10" in err
         assert not out.exists()
 
+    def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG + "reps = 3\n")
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "'reps'" in err and "line 10" in err and "line 6" in err
+        assert not out.exists()
+
+    def test_radius_without_explicit_rule_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out),
+                               "--radius", "0.01")
+        assert code == 2
+        assert "radius_value" in err and "sqrt_s" in err
+        assert not out.exists()
+
     def test_pv_with_explicit_radius_below_one_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)

@@ -28,6 +28,7 @@ from sixlasso import (
 from sixlasso.experiments import (
     _PLANE,
     _TEST_TAG,
+    _failed_metrics,
     resolve_radius,
     sweep_signal,
     trial_id_for,
@@ -100,6 +101,11 @@ class TestSweepSpecValidation:
             smoke_spec(estimators=("lasso", "pv"), radius_rule="explicit", radius_value=0.5)
         smoke_spec(estimators=("lasso",), radius_rule="explicit", radius_value=0.5)
         smoke_spec(estimators=("pv",), radius_rule="explicit", radius_value=1.0)
+
+    def test_radius_value_needs_explicit_rule(self):
+        for rule in ("sqrt_s", "two_sqrt_s_over_lambda", "raw_s"):
+            with pytest.raises(ValueError, match="explicit"):
+                smoke_spec(radius_rule=rule, radius_value=0.01)
 
 
 class TestRadiusRules:
@@ -364,3 +370,23 @@ class TestSummarize:
     def test_empty_records(self):
         with pytest.raises(EmptyRecords):
             summarize([])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_trial_drops_out_of_quantiles(self):
+        records = [_record("lasso", 50, i, v) for i, v in enumerate([0.1, 0.2, 0.3])]
+        records.append(dataclasses.replace(_record("lasso", 50, 3, 0.0),
+                                           metrics=_failed_metrics(0.5), converged=False))
+        rows = {r.metric: r for r in summarize(records)}
+        for name in ("raw_l2_error", "test_accuracy"):
+            assert (rows[name].q25, rows[name].median, rows[name].q75) == (0.1, 0.2, 0.2)
+        # a failure still counts as direction error 2: without it q75 would be 0.2
+        assert (rows["direction_error"].median, rows["direction_error"].q75) == (0.2, 0.3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_failed_cell_is_nan(self):
+        failed = [dataclasses.replace(_record("pv", 80, i, 0.0), metrics=_failed_metrics(0.5),
+                                      converged=False) for i in range(3)]
+        rows = {r.metric: r for r in summarize(failed)}
+        for name in ("raw_l2_error", "test_accuracy"):
+            assert all(np.isnan(q) for q in (rows[name].q25, rows[name].median, rows[name].q75))
+        assert rows["direction_error"].median == 2.0

@@ -179,6 +179,21 @@ class TestOraclePVLinear:
         assert np.linalg.norm(beta_o - w) <= np.sqrt(2) * grid.step
         assert g @ w >= g @ beta_o  # exact solution beats any grid point
 
+    def test_random_small_p_agrees_with_solver(self):
+        rng = np.random.default_rng(31)
+        step = 0.02
+        for _ in range(30):
+            p = int(rng.integers(1, 4))
+            g = rng.standard_normal(p) * rng.uniform(0.5, 5)
+            radius = float(rng.uniform(1.0, np.sqrt(p)))
+            beta_o = oracle_pv_linear(g, radius, GridSpec(step=step))
+            w = pv_linear_fit(_dataset(np.eye(p), g), radius)
+            # the exact maximizer beats every grid point, and a feasible grid
+            # point lies within p * step of it in objective per unit ||g||
+            assert g @ w >= g @ beta_o - 1e-12
+            assert g @ w - g @ beta_o <= p * step * np.linalg.norm(g)
+            assert np.linalg.norm(beta_o - w) <= 2 * np.sqrt(step)
+
     def test_refinement_monotone_maximization(self):
         g = np.array([1.3, -0.4])
         objs = [g @ oracle_pv_linear(g, 1.1, GridSpec(step=s)) for s in (0.08, 0.04, 0.02)]

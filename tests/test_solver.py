@@ -160,14 +160,6 @@ class TestFitLasso:
         assert fit.iterations == 2
         assert not fit.converged
 
-    def test_backtracking_rule_agrees(self):
-        sig = make_signal(6, 2, "random", seed=13)
-        data = generate_dataset(sig, 150, LOGISTIC, seed=14)
-        fixed = fit_lasso(data, 1.0, SolverConfig(step_rule="fixed_lipschitz"))
-        back = fit_lasso(data, 1.0, SolverConfig(step_rule="backtracking"))
-        assert back.converged
-        assert back.objective == pytest.approx(fixed.objective, abs=1e-8)
-
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):
             fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), radius=-1.0)
@@ -185,11 +177,51 @@ class TestFitLasso:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(backtrack_shrink=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_rule="exact")
-        with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), p=st.integers(1, 12),
+           radius=st.floats(0, 5), c=st.sampled_from([1e-3, 0.37, 4.0, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_feasible_certified_and_scale_invariant(self, seed, n, p, radius, c):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        y = rng.choice([-1.0, 1.0], n)
+        fit = fit_lasso(_dataset(X, y), radius)
+        assert np.abs(fit.beta_hat).sum() <= radius + 1e-9
+        if fit.converged:
+            assert fit.fp_residual <= 1e-6
+        # (cX, cy) scales the objective by c^2 and L by c^2: the iterates do not move
+        scaled = fit_lasso(_dataset(c * X, c * y), radius)
+        np.testing.assert_allclose(scaled.beta_hat, fit.beta_hat, rtol=0, atol=1e-9)
+        assert scaled.converged == fit.converged
+
+
+def _assert_pv_kkt(g, w, radius):
+    """KKT of max <g, w> s.t. ||w||_1 <= radius, ||w||_2 <= 1.
+
+    There are mu, theta >= 0 with |g_i| = theta + mu |w_i| and sign(w_i) =
+    sign(g_i) on the support of w, |g_i| <= theta off it, theta > 0 only on
+    the l1 sphere and mu > 0 only on the l2 sphere.
+    """
+    a, b = np.abs(g), np.abs(w)
+    on = w != 0
+    np.testing.assert_array_equal(np.sign(w[on]), np.sign(g[on]))
+    tol = 1e-9 * a.max()
+    hi, lo = np.argmax(np.where(on, b, -np.inf)), np.argmin(np.where(on, b, np.inf))
+    if b[hi] > b[lo]:
+        mu = (a[hi] - a[lo]) / (b[hi] - b[lo])
+    elif np.linalg.norm(w) < 1 - 1e-9:
+        mu = 0.0
+    else:  # |w| is constant on its support: the least theta the off-support allows
+        mu = (a[hi] - a[~on].max(initial=0.0)) / b[hi]
+    theta = a[hi] - mu * b[hi]
+    assert mu >= 0 and theta >= -tol
+    np.testing.assert_allclose(a[on], theta + mu * b[on], rtol=0, atol=tol)
+    assert np.all(a[~on] <= theta + tol)
+    if theta > tol:
+        assert np.abs(w).sum() == pytest.approx(radius, rel=1e-12)
+    if mu * b[hi] > tol:
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPVLinearFit:
@@ -202,15 +234,19 @@ class TestPVLinearFit:
         np.testing.assert_allclose(pv_linear_fit(data, np.sqrt(2.0)),
                                    [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
-    def test_bisection_hits_radius(self):
+    def test_exact_solve_hits_radius(self):
+        # two active entries of mean 1.5 and variance 1/4:
+        # theta = 1.5 - 1.2 sqrt(0.25 / (2 - 1.44)), between |g|_(3) = 0 and |g|_(2) = 1
         data = _dataset(np.eye(3), [2.0, 1.0, 0.0])
         w = pv_linear_fit(data, 1.2)
-        assert np.abs(w).sum() == pytest.approx(1.2, abs=1e-9)
-        assert np.linalg.norm(w) <= 1.0 + 1e-9
+        theta = 1.5 - 1.2 * np.sqrt(0.25 / 0.56)
+        want = np.array([2.0 - theta, 1.0 - theta, 0.0])
+        np.testing.assert_allclose(w, want / np.linalg.norm(want), rtol=0, atol=1e-15)
+        assert np.abs(w).sum() == pytest.approx(1.2, abs=1e-15)
 
     def test_tied_gradient_face(self):
-        # |g| plateau: the l1 norm of the normalized soft threshold never
-        # reaches 1.2, so the symmetric point is scaled onto the l1 sphere
+        # two entries tie for the largest |g| and 2 >= 1.2^2, so no soft
+        # threshold reaches the l1 sphere: the tied face is scaled onto it
         data = _dataset(np.eye(2), [1.0, 1.0])
         w = pv_linear_fit(data, 1.2)
         np.testing.assert_allclose(w, [0.6, 0.6], atol=1e-9)
@@ -224,6 +260,19 @@ class TestPVLinearFit:
             w = pv_linear_fit(_dataset(np.eye(p), g), radius)
             assert np.abs(w).sum() <= radius + 1e-9
             assert np.linalg.norm(w) <= 1.0 + 1e-9
+
+    # integer entries: few values tie often, many values tie rarely
+    @given(g=st.sampled_from([4, 1000]).flatmap(
+               lambda k: st.lists(st.integers(-k, k), min_size=1, max_size=50).filter(any)),
+           scale=st.floats(1e-3, 1e3), frac=st.floats(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_feasible_and_kkt_with_ties(self, g, scale, frac):
+        g = np.array(g, float) * scale
+        radius = 1.0 + frac * (np.sqrt(g.size) - 1.0)
+        w = pv_linear_fit(_dataset(np.eye(g.size), g), radius)
+        assert np.abs(w).sum() <= radius * (1 + 1e-12)
+        assert np.linalg.norm(w) <= 1 + 1e-12
+        _assert_pv_kkt(g, w, radius)
 
     def test_zero_gradient(self):
         with pytest.raises(ZeroGradient):
