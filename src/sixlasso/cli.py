@@ -278,7 +278,7 @@ def _pick(flags: argparse.Namespace, cfg: dict[str, str], flag_name: str | None,
     if cfg_key in cfg:
         try:
             return convert(cfg[cfg_key])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise InputError(f"config key {cfg_key}: {exc}") from exc
     if required:
         raise InputError(f"missing required setting {cfg_key!r} (flag or config)")
@@ -286,10 +286,12 @@ def _pick(flags: argparse.Namespace, cfg: dict[str, str], flag_name: str | None,
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    # an argparse type: argparse turns ArgumentTypeError into a usage error
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_bool(text: str) -> bool:

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the hot paths of one figure-1 trial (p = 1200).
+"""Micro-benchmarks of the hot paths of one figure-1 trial (p = 1200), and of
+a lasso fit with n << p.
 
 They run with the rest of the suite at a few rounds each and assert results,
 never times.  For timings, run
@@ -13,6 +14,7 @@ import pytest
 
 from sixlasso import (
     LOGISTIC,
+    PROBIT,
     classify_accuracy,
     fit_lasso,
     generate_dataset,
@@ -40,6 +42,12 @@ def test_project_l1_ball(benchmark):
 @pytest.mark.parametrize("n", [200, 3000])
 def test_fit_lasso(benchmark, signal, n):
     data = generate_dataset(signal, n, LOGISTIC, seed=3)
+    fit = benchmark.pedantic(fit_lasso, args=(data, RADIUS), rounds=2, iterations=1)
+    assert fit.converged
+
+
+def test_fit_lasso_n_much_less_than_p(benchmark, signal):
+    data = generate_dataset(signal, 150, PROBIT, seed=3)
     fit = benchmark.pedantic(fit_lasso, args=(data, RADIUS), rounds=2, iterations=1)
     assert fit.converged
 

@@ -249,6 +249,24 @@ class TestSweepCommand:
         assert "'reps'" in err and "line 10" in err and "line 6" in err
         assert not out.exists()
 
+    def test_bad_n_grid_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--p", "10", "--s", "2",
+                               "--n-grid", "50,x", "--out", str(out))
+        assert code == 2
+        assert err.startswith("usage: sixlasso sweep")
+        assert "argument --n-grid: expected comma-separated integers, got '50,x'" in err
+        assert not out.exists()
+
+    def test_bad_n_grid_config_value_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG.replace("n_grid = 50,100", "n_grid = 50,x"))
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "config key n_grid: expected comma-separated integers, got '50,x'" in err
+        assert not out.exists()
+
     def test_radius_without_explicit_rule_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)

@@ -156,6 +156,16 @@ class TestRunTrial:
         assert rec.metrics.direction_error <= 1e-6
         assert rec.converged
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "n = p linear fit interpolates: the objective falls toward 0 at a constant "
+        "relative rate, so the relative-drop stop test never fires and the fit runs "
+        "out of max_iter with fp_residual already below 1e-6"))
+    def test_linear_square_design_converges(self):
+        spec = SweepSpec(p=300, s=5, n_grid=(300,), link="linear", reps=1,
+                         base_seed=13, test_n=300)
+        rec = run_trial(spec, (300, 0), "lasso")
+        assert rec.converged
+
     def test_metrics_are_populated(self):
         rec = run_trial(smoke_spec(), (100, 0), "lasso")
         m = rec.metrics

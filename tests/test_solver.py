@@ -1,4 +1,5 @@
-"""Tests for the l1-ball projection, the PGD solver, and the linear baseline."""
+"""Tests for the l1-ball projection, the FISTA solver with restart, and the
+linear baseline."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sixlasso import (
     Dataset,
     LOGISTIC,
     NegativeRadius,
+    PROBIT,
     SolverConfig,
     ZeroGradient,
     ZeroMatrix,
@@ -160,6 +162,15 @@ class TestFitLasso:
         assert fit.iterations == 2
         assert not fit.converged
 
+    def test_iterations_when_n_much_less_than_p(self):
+        # the plain 1/L projected-gradient loop took 800-1500 iterations here
+        sig = make_signal(1200, 10, "random", seed=1)
+        for seed in range(2):
+            data = generate_dataset(sig, 150, PROBIT, seed=seed)
+            fit = fit_lasso(data, radius=np.sqrt(10.0))
+            assert fit.converged
+            assert fit.iterations <= 400
+
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):
             fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), radius=-1.0)
@@ -188,6 +199,7 @@ class TestFitLasso:
         y = rng.choice([-1.0, 1.0], n)
         fit = fit_lasso(_dataset(X, y), radius)
         assert np.abs(fit.beta_hat).sum() <= radius + 1e-9
+        assert np.all(np.diff(fit.objective_path) <= 0)
         if fit.converged:
             assert fit.fp_residual <= 1e-6
         # (cX, cy) scales the objective by c^2 and L by c^2: the iterates do not move
