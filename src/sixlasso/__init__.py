@@ -56,7 +56,6 @@ from .oracle import (
 )
 from .solver import (
     FitResult,
-    SolverConfig,
     fit_lasso,
     lipschitz_estimate,
     project_l1_ball,

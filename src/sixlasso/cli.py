@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain error, 2 input error, 3 output error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -32,7 +33,7 @@ from .model import (
     get_link,
     make_signal,
 )
-from .solver import SolverConfig, fit_lasso
+from .solver import fit_lasso
 
 RECORD_COLUMNS = (
     "trial_id", "seed", "estimator", "n", "p", "s", "link", "radius",
@@ -45,7 +46,7 @@ SUMMARY_COLUMNS = ("estimator", "n", "metric", "q25", "median", "q75")
 
 SWEEP_CONFIG_KEYS = (
     "p", "s", "n_grid", "link", "radius_rule", "radius", "reps", "seed", "signal_mode",
-    "estimators", "test_n", "fresh_signal", "tol", "max_iter", "out", "out_svg",
+    "estimators", "test_n", "fresh_signal", "max_iter", "out", "out_svg",
 )
 
 _COLORS = {"lasso": "#1f77b4", "pv": "#d62728"}
@@ -66,12 +67,16 @@ def fmt_real(x: float) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -351,8 +356,7 @@ def cmd_fit(args) -> int:
     if y.shape[0] != X.shape[0]:
         raise InputError(f"design has {X.shape[0]} rows but labels file has {y.shape[0]} values")
     data = Dataset(X=X, y=y, n=X.shape[0], link_kind="file", seed=0)
-    config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    result = fit_lasso(data, args.radius, config)
+    result = fit_lasso(data, args.radius, args.max_iter)
     text = fit_document_text(result)
     if args.out:
         write_text_atomic(args.out, text)
@@ -379,7 +383,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_spec_from(args) -> tuple[SweepSpec, SolverConfig, str, str]:
+def _sweep_spec_from(args) -> tuple[SweepSpec, int, str, str]:
     cfg = load_config(args.config) if args.config else {}
     n_grid = _pick(args, cfg, "n_grid", "n_grid", _parse_int_list, required=True)
     spec = SweepSpec(
@@ -398,14 +402,11 @@ def _sweep_spec_from(args) -> tuple[SweepSpec, SolverConfig, str, str]:
         fresh_signal_per_trial=_pick(args, cfg, None, "fresh_signal", _parse_bool,
                                      default=False),
     )
-    solver_config = SolverConfig(
-        tol=_pick(args, cfg, "tol", "tol", float, default=1e-9),
-        max_iter=_pick(args, cfg, "max_iter", "max_iter", int, default=5000),
-    )
+    max_iter = _pick(args, cfg, "max_iter", "max_iter", int, default=5000)
     out = _pick(args, cfg, "out", "out", str, required=True)
     default_svg = (out[:-4] if out.endswith(".csv") else out) + ".svg"
     out_svg = _pick(args, cfg, "out_svg", "out_svg", str, default=default_svg)
-    return spec, solver_config, out, out_svg
+    return spec, max_iter, out, out_svg
 
 
 def summary_path_for(records_path: str) -> str:
@@ -415,10 +416,10 @@ def summary_path_for(records_path: str) -> str:
 
 def cmd_sweep(args) -> int:
     try:
-        spec, solver_config, out, out_svg = _sweep_spec_from(args)
+        spec, max_iter, out, out_svg = _sweep_spec_from(args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    records = run_sweep(spec, solver_config)
+    records = run_sweep(spec, max_iter)
     rows = summarize(records)
     write_text_atomic(out, records_csv_text(records))
     summary_path = summary_path_for(out)
@@ -454,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("design", help="CSV with n rows of p numeric features")
     p_fit.add_argument("labels", help="CSV with n response values")
     p_fit.add_argument("--radius", type=float, required=True)
-    p_fit.add_argument("--tol", type=float, default=1e-9)
     p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
@@ -483,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--reps", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=None)
-    p_sweep.add_argument("--tol", type=float, default=None)
     p_sweep.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--out-svg", dest="out_svg", default=None)

@@ -32,7 +32,7 @@ from .model import (
     get_link,
     make_signal,
 )
-from .solver import SolverConfig, fit_lasso, pv_linear_fit
+from .solver import fit_lasso, pv_linear_fit
 
 THREADS_ENV = "SIXLASSO_THREADS"
 
@@ -109,8 +109,9 @@ class SweepSpec:
         if self.radius_rule not in RADIUS_RULES:
             raise ValueError(f"unknown radius_rule {self.radius_rule!r}")
         if self.radius_rule == "explicit":
-            if self.radius_value is None or self.radius_value <= 0:
-                raise ValueError("explicit radius_rule needs radius_value > 0")
+            if self.radius_value is None or not 0 < self.radius_value < np.inf:
+                raise ValueError(f"explicit radius_rule needs a finite radius_value > 0, "
+                                 f"got {self.radius_value}")
             if "pv" in self.estimators and self.radius_value < 1:
                 raise ValueError(f"the pv estimator needs radius_value >= 1, "
                                  f"got {self.radius_value}")
@@ -204,14 +205,14 @@ def _failed_metrics(lam: float) -> TrialMetrics:
 
 
 def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              solver_config: SolverConfig | None = None, *,
+              max_iter: int = 5000, *,
               signal: TrueSignal | None = None, radius: float | None = None,
               lam: float | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
     cell is (n, rep_index).  signal/radius/lam may be passed in as sweep-level
     precomputations; when omitted they are recomputed from the spec, so the
-    result is a pure function of (spec, cell, estimator, solver_config).
+    result is a pure function of (spec, cell, estimator, max_iter).
     Domain failures (degenerate fits) become a failed-trial record with
     direction_error pinned at 2; they never abort a sweep.
 
@@ -244,7 +245,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     t0 = time.perf_counter()
     try:
         if estimator == "lasso":
-            fit = fit_lasso(train, radius, solver_config)
+            fit = fit_lasso(train, radius, max_iter)
             beta_hat, iterations, converged = fit.beta_hat, fit.iterations, fit.converged
         else:
             beta_hat = pv_linear_fit(train, radius)
@@ -272,8 +273,8 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
 
 
 def _trial_task(args):
-    spec, n, rep, estimator, solver_config, signal, radius, lam = args
-    return run_trial(spec, (n, rep), estimator, solver_config,
+    spec, n, rep, estimator, max_iter, signal, radius, lam = args
+    return run_trial(spec, (n, rep), estimator, max_iter,
                      signal=signal, radius=radius, lam=lam)
 
 
@@ -287,20 +288,23 @@ def _thread_budget(threads: int | None) -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def run_sweep(spec: SweepSpec, solver_config: SolverConfig | None = None,
+def run_sweep(spec: SweepSpec, max_iter: int = 5000,
               threads: int | None = None) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
     threads=None reads SIXLASSO_THREADS (0 or 1 = serial; k >= 2 = a pool of
     k worker processes).  Output is always sorted by trial_id and is
-    identical whichever way the trials were scheduled.
+    identical whichever way the trials were scheduled.  max_iter < 1 raises
+    ValueError before any trial runs, even in a sweep without lasso.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     workers = _thread_budget(threads)
     lam = resolve_lambda(spec)
     radius = resolve_radius(spec, lam)
     signal = None if spec.fresh_signal_per_trial else sweep_signal(spec)
     tasks = [
-        (spec, n, rep, est, solver_config, signal, radius, lam)
+        (spec, n, rep, est, max_iter, signal, radius, lam)
         for n in spec.n_grid
         for rep in range(spec.reps)
         for est in spec.estimators

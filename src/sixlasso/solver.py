@@ -3,8 +3,11 @@
 fit_lasso minimizes (1/n)||y - X beta||_2^2 subject to ||beta||_1 <= radius by
 FISTA (accelerated projected gradient, Beck & Teboulle 2009) with exact
 l1-ball projection and a function-value restart (O'Donoghue & Candes 2015).
-pv_linear_fit maximizes <X'y, beta> over the intersection of an l1 ball and
-the unit l2 ball, the classical one-bit recovery baseline.
+It has one stop rule: the gradient-mapping certificate
+||beta - P(beta - grad/L)||_2 <= 1e-6, checked whenever a step moves the
+iterate by at most 1e-6.  pv_linear_fit maximizes <X'y, beta> over the
+intersection of an l1 ball and the unit l2 ball, the classical one-bit
+recovery baseline.
 """
 
 from __future__ import annotations
@@ -18,27 +21,7 @@ from .model import Dataset
 
 _MAX_BACKTRACKS = 60
 _CERT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """FISTA stopping settings.
-
-    tol is the relative objective decrease below which the fit checks its
-    certificate and may stop; max_iter caps the iterations.  Every iteration
-    takes the 1/L step from the extrapolated point; when that would raise
-    the objective, the momentum restarts and the step from the current
-    iterate is halved while it would still raise it.
-    """
-
-    tol: float = 1e-9
-    max_iter: int = 5000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+_POWER_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -49,9 +32,10 @@ class FitResult:
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
     converged is true when the fit stopped on its own, not by running out of
-    max_iter, and fp_residual <= 1e-6; objective_path records the accepted
-    objective value at every iteration (non-increasing: the restart rejects
-    any extrapolated step that would raise it).
+    max_iter, and fp_residual <= 1e-6, the fit's only stop test;
+    objective_path records the accepted objective value at every iteration
+    (non-increasing: the restart rejects any extrapolated step that would
+    raise it).
     """
 
     beta_hat: np.ndarray
@@ -89,18 +73,16 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def lipschitz_estimate(X: np.ndarray, iters: int = 100) -> float:
+def lipschitz_estimate(X: np.ndarray) -> float:
     """Safeguarded largest eigenvalue of (2/n) X'X by power iteration.
 
-    Starts from the normalized all-ones vector and inflates the converged
-    Rayleigh estimate by 1.05.  If the start vector happens to lie in the
+    Runs _POWER_ITERS steps from the normalized all-ones vector and inflates
+    the Rayleigh estimate by 1.05.  If the start vector happens to lie in the
     null space, deterministically falls back to coordinate vectors.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     if not np.any(X):
         raise ZeroMatrix("X is identically zero")
     n, p = X.shape
@@ -112,7 +94,7 @@ def lipschitz_estimate(X: np.ndarray, iters: int = 100) -> float:
 
     def run(v):
         lam = 0.0
-        for _ in range(iters):
+        for _ in range(_POWER_ITERS):
             w = (2.0 / n) * (X.T @ (X @ v))
             lam = np.linalg.norm(w)
             if lam == 0.0:
@@ -131,31 +113,37 @@ def lipschitz_estimate(X: np.ndarray, iters: int = 100) -> float:
     return 1.05 * lam
 
 
-def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) -> FitResult:
+def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
     FISTA from beta = 0 with step 1/L (L from lipschitz_estimate): each
     iteration takes the projected step from the extrapolated point
-    z = beta + ((t - 1)/t')(beta - beta_prev).  z's residual is a
-    combination of the last two, so an iteration costs one X @ and one
-    X.T @ product.  When the step from z would raise the objective, the
-    momentum restarts (t = 1, z = beta) and the step from beta is halved
+    z = beta + ((t - 1)/t')(beta - beta_prev), whose gradient is the same
+    combination of the last two gradients, so an iteration costs one X @
+    and one X.T @ product.  When the step from z would raise the objective,
+    the momentum restarts (t = 1, z = beta) and the step from beta is halved
     while it still would, so every accepted step is non-increasing and
-    objective_path is monotone.  The fit stops early when no halved step
-    keeps the objective from rising, or when the relative objective decrease
-    drops below config.tol and either the fixed-point certificate passes or
-    the iterate stopped moving.  converged is true only for an early stop
-    whose certificate passes; a fit that runs out of max_iter is never
-    converged.
+    objective_path is monotone.
+
+    The one stop test is the certificate fp_residual <= 1e-6 at the new
+    iterate.  It costs a projection, so it is checked only when the new
+    iterate lies within 1e-6 of the point its step started from.  The fit
+    also stops, and gives up honestly, when that distance is exactly 0 or
+    when no halved step keeps the objective from rising; converged is true
+    only when the certificate passes.  A fit that runs out of max_iter
+    is never converged.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
-    infinite entry in X or y raises ValueError.
+    infinite entry in X or y, a non-finite radius, or max_iter < 1 raises
+    ValueError.
     """
-    if config is None:
-        config = SolverConfig()
+    if not np.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     if radius < 0:
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -176,27 +164,23 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
         return float(np.linalg.norm(b - project_l1_ball(b - base_step * g, radius)))
 
     beta = np.zeros(p)
-    resid = -y.copy()  # X @ 0 - y
-    f = float(resid @ resid) / n
+    f = float(y @ y) / n
+    grad = gradient(-y)  # X @ 0 - y
     path = [f]
 
-    # z is the extrapolated point each step starts from, and z is beta while
-    # the momentum is zero; grad is the gradient at beta, or None until the
-    # stop test, a restart or a halving needs it
-    t, z, grad = 1.0, beta, gradient(resid)
-    z_grad = grad
+    # z is the extrapolated point each step starts from (beta while mom is 0)
+    t, mom, z, z_grad = 1.0, 0.0, beta, grad
     fp_residual = None  # certificate at beta, once computed
     stopped = False
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
+        start = z
         candidate, cand_resid, f_new = step_from(z, z_grad, base_step)
         if f_new > f:
             # function-value restart: drop the momentum and step from beta,
             # halving the step while it would still raise the objective
-            t, step = 1.0, base_step
-            if z is beta:
-                step *= 0.5  # the 1/L step from beta has just failed
-            elif grad is None:
-                grad = gradient(resid)
+            t, start, step = 1.0, beta, base_step
+            if mom == 0.0:
+                step *= 0.5  # z was beta: the 1/L step from beta has just failed
             for _ in range(_MAX_BACKTRACKS):
                 candidate, cand_resid, f_new = step_from(beta, grad, step)
                 if f_new <= f:
@@ -207,35 +191,24 @@ def fit_lasso(data: Dataset, radius: float, config: SolverConfig | None = None) 
                 path.append(f)
                 stopped = True
                 break
-        moved = not np.array_equal(candidate, beta)
-        rel_drop = (f - f_new) / max(f, 1e-300)
-        beta_prev, resid_prev = beta, resid
-        beta, resid, f = candidate, cand_resid, f_new
+        beta_prev, grad_prev = beta, grad
+        beta, f = candidate, f_new
+        grad = gradient(cand_resid)
         path.append(f)
-        grad = None
         fp_residual = None
-        if rel_drop < config.tol:
-            grad = gradient(resid)
+        step_len = float(np.linalg.norm(beta - start))
+        if step_len <= _CERT_TOL:
             fp_residual = cert_residual(beta, grad)
             # a fixed point whose certificate fails gives up honestly
-            if fp_residual <= _CERT_TOL or not moved:
+            if fp_residual <= _CERT_TOL or step_len == 0.0:
                 stopped = True
                 break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_next
         t = t_next
-        if mom == 0.0:
-            z = beta
-            if grad is None:
-                grad = gradient(resid)
-            z_grad = grad
-        else:
-            z = beta + mom * (beta - beta_prev)
-            # X z - y from the last two residuals, with no X @ product
-            z_grad = gradient(resid + mom * (resid - resid_prev))
+        z = beta + mom * (beta - beta_prev)
+        z_grad = grad + mom * (grad - grad_prev)
     if fp_residual is None:
-        if grad is None:
-            grad = gradient(resid)
         fp_residual = cert_residual(beta, grad)
 
     return FitResult(

@@ -71,6 +71,9 @@ class TestLambdaCommand:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["lambda", "--link", "sign", "--frobnicate"]) == 2
+        # the solver has one stop rule and no tolerance to set
+        assert main(["fit", "X.csv", "y.csv", "--radius", "1", "--tol", "1e-9"]) == 2
+        assert main(["sweep", "--p", "10", "--s", "2", "--tol", "1e-9"]) == 2
 
 
 class TestFitCommand:
@@ -112,6 +115,16 @@ class TestFitCommand:
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "no.csv"),
                                str(tmp_path / "no2.csv"), "--radius", "1")
         assert code == 2
+
+    def test_nan_radius_is_input_error(self, tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1,0\n0,1\n")
+        labels.write_text("1\n0\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "nan")
+        assert code == 2
+        assert out == ""
+        assert "radius must be finite" in err
 
     def test_stdout_when_no_out(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
@@ -233,12 +246,13 @@ class TestSweepCommand:
 
     def test_unknown_config_key_names_key_and_line(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
-        config.write_text(SMOKE_CONFIG + "tset_n = 50\n")
         out = tmp_path / "r.csv"
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
-        assert code == 2
-        assert "tset_n" in err and "line 10" in err
-        assert not out.exists()
+        for key in ("tset_n = 50", "tol = 1e-9"):
+            config.write_text(SMOKE_CONFIG + key + "\n")
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+            assert code == 2
+            assert repr(key.split()[0]) in err and "line 10" in err
+            assert not out.exists()
 
     def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
@@ -291,9 +305,25 @@ class TestSweepCommand:
     def test_unwritable_output_is_exit_3(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)
-        out = tmp_path / "missing_dir" / "records.csv"
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
-        assert code == 3
+        existing_dir = tmp_path / "existing_dir"
+        existing_dir.mkdir()
+        for out in (tmp_path / "missing_dir" / "records.csv", existing_dir):
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config),
+                                   "--out", str(out))
+            assert code == 3
+            assert str(out) in err
+        # the failed rename into the directory left no temp file behind
+        assert not list(tmp_path.glob(".tmp_*"))
+
+    def test_nan_radius_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out),
+                               "--radius-rule", "explicit", "--radius", "nan")
+        assert code == 2
+        assert "finite radius_value" in err
+        assert not out.exists()
 
     def test_records_csv_round_trip(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -156,11 +156,9 @@ class TestRunTrial:
         assert rec.metrics.direction_error <= 1e-6
         assert rec.converged
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "n = p linear fit interpolates: the objective falls toward 0 at a constant "
-        "relative rate, so the relative-drop stop test never fires and the fit runs "
-        "out of max_iter with fp_residual already below 1e-6"))
     def test_linear_square_design_converges(self):
+        # n = p interpolates: the objective falls toward 0 at a constant
+        # relative rate, and only the certificate can tell the fit is done
         spec = SweepSpec(p=300, s=5, n_grid=(300,), link="linear", reps=1,
                          base_seed=13, test_n=300)
         rec = run_trial(spec, (300, 0), "lasso")
@@ -219,6 +217,11 @@ class TestRunSweep:
         serial = run_sweep(spec, threads=0)
         pooled = run_sweep(spec, threads=2)
         assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
+
+    def test_max_iter_checked_before_any_trial(self):
+        # a pv-only sweep never reaches fit_lasso's own check
+        with pytest.raises(ValueError, match="max_iter"):
+            run_sweep(smoke_spec(estimators=("pv",)), max_iter=0)
 
     def test_env_var_controls_threads(self, monkeypatch):
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")

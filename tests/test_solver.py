@@ -11,7 +11,6 @@ from sixlasso import (
     LOGISTIC,
     NegativeRadius,
     PROBIT,
-    SolverConfig,
     ZeroGradient,
     ZeroMatrix,
     fit_lasso,
@@ -87,19 +86,19 @@ class TestProjectL1Ball:
 class TestLipschitzEstimate:
     def test_identity_design(self):
         n = 6
-        est = lipschitz_estimate(np.eye(n), iters=50)
+        est = lipschitz_estimate(np.eye(n))
         assert est == pytest.approx(1.05 * 2.0 / n, abs=1e-6)
 
     def test_diagonal_design(self):
         # (2/2) X'X = diag(9, 1): top eigenvalue 9, inflated by 1.05
-        est = lipschitz_estimate(np.diag([3.0, 1.0]), iters=100)
+        est = lipschitz_estimate(np.diag([3.0, 1.0]))
         assert est == pytest.approx(9.45, abs=1e-6)
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((50, 10))
         top = float(np.linalg.eigvalsh((2.0 / 50) * X.T @ X)[-1])
-        est = lipschitz_estimate(X, iters=100)
+        est = lipschitz_estimate(X)
         assert est / 1.05 == pytest.approx(top, rel=0.01)
 
     def test_zero_matrix_raises(self):
@@ -109,7 +108,7 @@ class TestLipschitzEstimate:
     def test_null_space_start_falls_back(self):
         # the all-ones start is the null vector of X'X here
         X = np.array([[1.0, -1.0]])
-        est = lipschitz_estimate(X, iters=100)
+        est = lipschitz_estimate(X)
         assert est == pytest.approx(1.05 * 4.0, abs=1e-6)
 
 
@@ -158,7 +157,7 @@ class TestFitLasso:
     def test_max_iter_reports_unconverged(self):
         sig = make_signal(30, 5, "random", seed=3)
         data = generate_dataset(sig, 50, LOGISTIC, seed=4)
-        fit = fit_lasso(data, radius=2.0, config=SolverConfig(max_iter=2))
+        fit = fit_lasso(data, radius=2.0, max_iter=2)
         assert fit.iterations == 2
         assert not fit.converged
 
@@ -185,10 +184,8 @@ class TestFitLasso:
                 fit_lasso(_dataset(np.eye(3), [1.0, bad, 0.0]), radius=1.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), radius=1.0, max_iter=0)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), p=st.integers(1, 12),
            radius=st.floats(0, 5), c=st.sampled_from([1e-3, 0.37, 4.0, 1e3]))
