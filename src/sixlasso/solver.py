@@ -2,12 +2,15 @@
 
 fit_lasso minimizes (1/n)||y - X beta||_2^2 subject to ||beta||_1 <= radius by
 FISTA (accelerated projected gradient, Beck & Teboulle 2009) with exact
-l1-ball projection and a function-value restart (O'Donoghue & Candes 2015).
-It has one stop rule: the gradient-mapping certificate
-||beta - P(beta - grad/L)||_2 <= 1e-6, checked whenever a step moves the
-iterate by at most 1e-6.  pv_linear_fit maximizes <X'y, beta> over the
-intersection of an l1 ball and the unit l2 ball, the classical one-bit
-recovery baseline.
+l1-ball projection, a backtracked step 1/L and a function-value restart
+(O'Donoghue & Candes 2015).  Once the sign pattern of the iterate settles it
+tries an exact finish: the closed-form minimizer on that support and those
+signs (the active-set step of Osborne, Presnell & Turlach 2000).  It has one
+stop rule: the gradient-mapping certificate ||beta - P(beta - grad/L)||_2 <=
+1e-6, which the loop checks whenever a step moves the iterate by at most 1e-6
+and which the exact finish must pass.  pv_linear_fit maximizes <X'y, beta>
+over the intersection of an l1 ball and the unit l2 ball, the classical
+one-bit recovery baseline.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
-_MAX_BACKTRACKS = 60
 _CERT_TOL = 1e-6
-_POWER_ITERS = 100
+_POWER_ITERS = 5
+_STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
+_FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
 
 
 @dataclass(frozen=True)
@@ -31,11 +35,15 @@ class FitResult:
     objective is (1/n)||y - X beta_hat||_2^2 at the final iterate;
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
+    lipschitz is that L: the step constant the last step and the
+    certificate used (lipschitz_estimate's start, doubled by every failed
+    sufficient-decrease test);
     converged is true when the fit stopped on its own, not by running out of
     max_iter, and fp_residual <= 1e-6, the fit's only stop test;
-    objective_path records the accepted objective value at every iteration
-    (non-increasing: the restart rejects any extrapolated step that would
-    raise it).
+    objective_path records the accepted objective value at every iteration,
+    plus one last entry when the exact finish ends the fit (non-increasing:
+    the restart rejects any extrapolated step that would raise it, and the
+    finish is accepted only if it does not raise it beyond rounding).
     """
 
     beta_hat: np.ndarray
@@ -45,6 +53,7 @@ class FitResult:
     radius: float
     l2_norm: float
     fp_residual: float
+    lipschitz: float
     objective_path: np.ndarray
 
 
@@ -74,63 +83,91 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def lipschitz_estimate(X: np.ndarray) -> float:
-    """Safeguarded largest eigenvalue of (2/n) X'X by power iteration.
+    """Cheap start for the step constant: about the top eigenvalue of (2/n) X'X.
 
-    Runs _POWER_ITERS steps from the normalized all-ones vector and inflates
-    the Rayleigh estimate by 1.05.  If the start vector happens to lie in the
-    null space, deterministically falls back to coordinate vectors.
+    Runs _POWER_ITERS power steps from the largest-norm row x_i of X and
+    inflates the last estimate by 1.05.  The start never falls in the null
+    space: (X x_i)_i = ||x_i||^2 > 0, so X'X x_i != 0, and every later
+    iterate stays in the row space, where X'X is definite.  The estimate
+    may lie below the top eigenvalue; fit_lasso's backtracking raises it
+    where a step needs more.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
     if not np.any(X):
         raise ZeroMatrix("X is identically zero")
-    n, p = X.shape
+    n = X.shape[0]
+    v = X[np.argmax(np.einsum("ij,ij->i", X, X))]
+    v = v / np.linalg.norm(v)
+    for _ in range(_POWER_ITERS):
+        w = (2.0 / n) * (X.T @ (X @ v))
+        lam = np.linalg.norm(w)
+        v = w / lam
+    return 1.05 * float(lam)
 
-    def basis(j):
-        e = np.zeros(p)
-        e[j] = 1.0
-        return e
 
-    def run(v):
-        lam = 0.0
-        for _ in range(_POWER_ITERS):
-            w = (2.0 / n) * (X.T @ (X @ v))
-            lam = np.linalg.norm(w)
-            if lam == 0.0:
-                return None
-            v = w / lam
-        return lam
+def _normal_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Solve (A'A) Z = B, or None when A'A is not numerically positive definite.
 
-    lam = run(np.ones(p) / np.sqrt(p))
-    j = 0
-    while lam is None and j < p:
-        # all-ones start fell in the null space; coordinate vectors cannot all do so
-        lam = run(basis(j))
-        j += 1
-    if lam is None:
-        raise ZeroMatrix("power iteration found no nonzero direction")
-    return 1.05 * lam
+    Cholesky A'A = C C', computed column by column on A'A stacked over B',
+    so that the rows below C come out as (C^-1 B)'; back substitution then
+    gives Z.  Everything is a matrix-vector product or a product with 8
+    columns of A: a full BLAS-3 product or LAPACK factorization of this
+    size would start the BLAS library's worker threads, which then spin
+    through the rest of a sweep whose own products run on one thread.
+    """
+    k = A.shape[1]
+    M = np.vstack([np.hstack([A.T @ A[:, j:j + 8] for j in range(0, k, 8)]), B.T])
+    L = np.zeros_like(M)
+    for j in range(k):
+        c = M[j:, j] - L[j:, :j] @ L[j, :j]
+        if not c[0] > 0.0:
+            return None
+        L[j:, j] = c / np.sqrt(c[0])
+    Z = L[k:].T.copy()
+    for i in range(k - 1, -1, -1):
+        Z[i] = (Z[i] - L[i + 1:k, i] @ Z[i + 1:]) / L[i, i]
+    return Z
 
 
 def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
-    FISTA from beta = 0 with step 1/L (L from lipschitz_estimate): each
-    iteration takes the projected step from the extrapolated point
-    z = beta + ((t - 1)/t')(beta - beta_prev), whose gradient is the same
-    combination of the last two gradients, so an iteration costs one X @
-    and one X.T @ product.  When the step from z would raise the objective,
-    the momentum restarts (t = 1, z = beta) and the step from beta is halved
-    while it still would, so every accepted step is non-increasing and
-    objective_path is monotone.
+    FISTA from beta = 0.  Each iteration takes the projected step
+    x+ = P(s - grad(s)/L) from s, the extrapolated point
+    z = beta + ((t - 1)/t')(beta - beta_prev), whose residual and gradient
+    are the same combinations of the last two, so an accepted iteration
+    costs one X @ and one X.T @ product.  L starts at lipschitz_estimate(X)
+    and is doubled, and the step retried from s, until the step passes
+    the sufficient-decrease test (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact
+    for this quadratic, and free: X(x+ - s) is the change in residual).  L
+    never falls.  When the step from z raises the objective, the momentum
+    restarts (t = 1, s = beta); a sufficient-decrease step from beta cannot
+    raise it, so objective_path is monotone.
 
-    The one stop test is the certificate fp_residual <= 1e-6 at the new
-    iterate.  It costs a projection, so it is checked only when the new
-    iterate lies within 1e-6 of the point its step started from.  The fit
-    also stops, and gives up honestly, when that distance is exactly 0 or
-    when no halved step keeps the objective from rising; converged is true
-    only when the certificate passes.  A fit that runs out of max_iter
+    The exact finish: with S = supp(beta), sigma = sign(beta_S) and
+    |S| <= n, one factorization of X_S'X_S solves it against X_S'y and
+    sigma, giving u and w.  If sigma'u <= radius, b = u, the least-squares
+    point on S; otherwise b = u - nu w with sigma'b = radius, the solution of
+    the KKT system [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
+    (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
+    (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
+    rounding.)  The finish is tried once whenever a sign pattern has held
+    for 5 iterations, and once more when the certificate stops the loop.
+    b is accepted only if it is finite, lies in the ball once projected
+    onto it (rounding), passes the certificate, and changes the objective
+    by Delta = <grad, b - beta> + (1/n)||X(b - beta)||^2 <= 1e-13 f
+    (computed from X(b - beta), not as a difference of rounded
+    objectives).  An accepted finish ends the fit, converged, and appends
+    its objective to objective_path.
+
+    The one stop test of the loop is the certificate fp_residual <= 1e-6
+    at the new iterate.  It costs a projection, so it is checked only when
+    the new iterate lies within 1e-6 of the point its step started from.
+    The loop also stops, and gives up honestly, when that distance is
+    exactly 0 or when the step from beta rises by rounding; converged is
+    true only when the certificate passes.  A fit that runs out of max_iter
     is never converged.
 
     The (1/n) normalization does not move the argmin of the unnormalized
@@ -150,64 +187,114 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         raise ValueError("X and y must be finite")
     n, p = X.shape
 
-    base_step = 1.0 / lipschitz_estimate(X)
+    L = lipschitz_estimate(X)
 
     def gradient(r):
         return (2.0 / n) * (X.T @ r)
 
-    def step_from(point, g, step):
-        cand = project_l1_ball(point - step * g, radius)
-        r = X @ cand - y
-        return cand, r, float(r @ r) / n
+    def step_from(point, point_resid, g):
+        """The backtracked step from point: (x+, its residual, its objective,
+        ||x+ - point||_2)."""
+        nonlocal L
+        while True:
+            cand = project_l1_ball(point - g / L, radius)
+            r = X @ cand - y
+            dd = float(np.sum((cand - point) ** 2))
+            dr = r - point_resid
+            if dd == 0.0 or (2.0 / n) * float(dr @ dr) <= L * dd:
+                return cand, r, float(r @ r) / n, np.sqrt(dd)
+            L *= 2.0
 
     def cert_residual(b, g):
-        return float(np.linalg.norm(b - project_l1_ball(b - base_step * g, radius)))
+        return float(np.linalg.norm(b - project_l1_ball(b - g / L, radius)))
+
+    def exact_finish(b, r, g, fb):
+        """(beta, objective, certificate) of the accepted exact minimizer on
+        b's support and signs, or None."""
+        S = np.flatnonzero(b)
+        if not 0 < S.size <= n:
+            return None
+        sigma = np.sign(b[S])
+        XS = X[:, S]
+        with np.errstate(all="ignore"):
+            solved = _normal_solve(XS, np.column_stack((XS.T @ y, sigma)))
+            if solved is None:
+                return None
+            u, w = solved.T
+            # the multiplier of sigma'b <= radius is positive only where the
+            # least-squares point lies beyond the face
+            u = u - (max(sigma @ u - radius, 0.0) / (sigma @ w)) * w
+            if not np.isfinite(u).all():
+                return None
+            cand = np.zeros(p)
+            cand[S] = u
+            cand = project_l1_ball(cand, radius)
+            d = cand[S] - b[S]
+            Xd = XS @ d
+            delta = float(g[S] @ d) + float(Xd @ Xd) / n
+            r_new = r + Xd
+            cert = cert_residual(cand, gradient(r_new))
+        if cert <= _CERT_TOL and delta <= _FINISH_SLACK * fb:
+            # fb + delta cancels to rounding (even below 0) where the fit
+            # interpolates; the new residual does not, and the cap at fb
+            # keeps objective_path monotone when delta > 0 by rounding
+            return cand, min(float(r_new @ r_new) / n, fb), cert
+        return None
 
     beta = np.zeros(p)
+    resid = -y  # X @ 0 - y
     f = float(y @ y) / n
-    grad = gradient(-y)  # X @ 0 - y
+    grad = gradient(resid)
     path = [f]
 
     # z is the extrapolated point each step starts from (beta while mom is 0)
-    t, mom, z, z_grad = 1.0, 0.0, beta, grad
+    t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
+    signs, stable = np.zeros(p), 0  # sign pattern of beta, and its age in iterations
     fp_residual = None  # certificate at beta, once computed
-    stopped = False
+    stopped = certified = False
+    finished = None
     for iterations in range(1, max_iter + 1):
-        start = z
-        candidate, cand_resid, f_new = step_from(z, z_grad, base_step)
+        candidate, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
+        if f_new > f and mom != 0.0:
+            # function-value restart: drop the momentum and step from beta
+            t = 1.0
+            candidate, cand_resid, f_new, step_len = step_from(beta, resid, grad)
         if f_new > f:
-            # function-value restart: drop the momentum and step from beta,
-            # halving the step while it would still raise the objective
-            t, start, step = 1.0, beta, base_step
-            if mom == 0.0:
-                step *= 0.5  # z was beta: the 1/L step from beta has just failed
-            for _ in range(_MAX_BACKTRACKS):
-                candidate, cand_resid, f_new = step_from(beta, grad, step)
-                if f_new <= f:
-                    break
-                step *= 0.5
-            if f_new > f:
-                # no non-increasing step found: numerically stationary
-                path.append(f)
-                stopped = True
-                break
-        beta_prev, grad_prev = beta, grad
-        beta, f = candidate, f_new
-        grad = gradient(cand_resid)
+            # a sufficient-decrease step from beta rose by rounding: stationary
+            path.append(f)
+            stopped = True
+            break
+        beta_prev, resid_prev, grad_prev = beta, resid, grad
+        beta, resid, f = candidate, cand_resid, f_new
+        grad = gradient(resid)
         path.append(f)
         fp_residual = None
-        step_len = float(np.linalg.norm(beta - start))
         if step_len <= _CERT_TOL:
             fp_residual = cert_residual(beta, grad)
             # a fixed point whose certificate fails gives up honestly
-            if fp_residual <= _CERT_TOL or step_len == 0.0:
+            certified = fp_residual <= _CERT_TOL
+            if certified or step_len == 0.0:
+                stopped = True
+                break
+        new_signs = np.sign(beta)
+        stable = stable + 1 if np.array_equal(new_signs, signs) else 0
+        signs = new_signs
+        if stable == _STABLE_ITERS:
+            finished = exact_finish(beta, resid, grad, f)
+            if finished is not None:
                 stopped = True
                 break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_next
         t = t_next
         z = beta + mom * (beta - beta_prev)
+        z_resid = resid + mom * (resid - resid_prev)
         z_grad = grad + mom * (grad - grad_prev)
+    if certified:
+        finished = exact_finish(beta, resid, grad, f)
+    if finished is not None:
+        beta, f, fp_residual = finished
+        path.append(f)
     if fp_residual is None:
         fp_residual = cert_residual(beta, grad)
 
@@ -219,6 +306,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         radius=float(radius),
         l2_norm=float(np.linalg.norm(beta)),
         fp_residual=fp_residual,
+        lipschitz=L,
         objective_path=np.asarray(path),
     )
 

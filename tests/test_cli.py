@@ -91,6 +91,21 @@ class TestFitCommand:
         coeffs = [float(v) for v in text.split("coefficients:\n")[1].split()]
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
 
+    def test_reports_lipschitz_after_fp_residual(self, tmp_path, capsys):
+        # (2/2) X'X = diag(9, 1): the start estimate is 1.05 * 9, and the
+        # fit needs no larger step constant
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("3,0\n0,1\n")
+        labels.write_text("1\n1\n")
+        code, out, _ = run_cli(capsys, "fit", str(design), str(labels), "--radius", "0.5")
+        assert code == 0
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("fp_residual = "))
+        name, value = lines[at + 1].split(" = ")
+        assert name == "lipschitz"
+        assert float(value) == pytest.approx(9.45, rel=1e-12)
+
     def test_label_length_mismatch_names_both(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
         labels = tmp_path / "y.csv"

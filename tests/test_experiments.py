@@ -164,6 +164,17 @@ class TestRunTrial:
         rec = run_trial(spec, (300, 0), "lasso")
         assert rec.converged
 
+    def test_noiseless_overdetermined_fit_has_exact_support(self):
+        # n > p and y = X beta*: the minimizer is beta* itself, so no
+        # coordinate off the true support may survive as solver dust
+        spec = SweepSpec(p=60, s=5, n_grid=(120,), link="linear", reps=2,
+                         base_seed=23, test_n=120)
+        for rep in range(2):
+            rec = run_trial(spec, (120, rep), "lasso")
+            assert rec.converged
+            assert rec.metrics.support_precision == 1.0
+            assert rec.metrics.direction_error <= 1e-12
+
     def test_metrics_are_populated(self):
         rec = run_trial(smoke_spec(), (100, 0), "lasso")
         m = rec.metrics
@@ -334,7 +345,7 @@ class TestPlaneScoring:
         def zero_fit(data, radius, config=None):
             zero = np.zeros(data.X.shape[1])
             return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
-                             radius=radius, l2_norm=0.0, fp_residual=0.0,
+                             radius=radius, l2_norm=0.0, fp_residual=0.0, lipschitz=1.0,
                              objective_path=np.ones(4))
 
         monkeypatch.setattr("sixlasso.experiments.fit_lasso", zero_fit)

@@ -1,5 +1,5 @@
-"""Tests for the l1-ball projection, the FISTA solver with restart, and the
-linear baseline."""
+"""Tests for the l1-ball projection, the FISTA solver (backtracking, restart
+and exact finish), and the linear baseline."""
 
 import numpy as np
 import pytest
@@ -95,18 +95,23 @@ class TestLipschitzEstimate:
         assert est == pytest.approx(9.45, abs=1e-6)
 
     def test_matches_dense_eigensolver(self):
+        # five power steps from the largest row: never above 1.05 times the
+        # top eigenvalue, never below 1.05 times that row's Rayleigh quotient
         rng = np.random.default_rng(8)
         X = rng.standard_normal((50, 10))
         top = float(np.linalg.eigvalsh((2.0 / 50) * X.T @ X)[-1])
+        row = X[np.argmax(np.sum(X * X, axis=1))]
+        floor = (2.0 / 50) * np.sum((X @ row) ** 2) / (row @ row)
         est = lipschitz_estimate(X)
-        assert est / 1.05 == pytest.approx(top, rel=0.01)
+        assert 1.05 * floor <= est <= 1.05 * top
 
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrix):
             lipschitz_estimate(np.zeros((4, 3)))
 
     def test_null_space_start_falls_back(self):
-        # the all-ones start is the null vector of X'X here
+        # the all-ones vector is the null vector of X'X here; the largest-row
+        # start never lies in the null space
         X = np.array([[1.0, -1.0]])
         est = lipschitz_estimate(X)
         assert est == pytest.approx(1.05 * 4.0, abs=1e-6)
@@ -169,6 +174,38 @@ class TestFitLasso:
             fit = fit_lasso(data, radius=np.sqrt(10.0))
             assert fit.converged
             assert fit.iterations <= 400
+
+    def test_start_below_half_the_top_eigenvalue(self):
+        # X'X = diag(100, 9) and the largest row is (0, 3): the power
+        # iteration never leaves e_2, so L starts at 1.05 * 9 * 2/n, below
+        # half of 100 * 2/n, and backtracking must raise it
+        n = 101
+        X = np.vstack([np.tile([1.0, 0.0], (n - 1, 1)), [0.0, 3.0]])
+        top = 2.0 * 100.0 / n
+        start = lipschitz_estimate(X)
+        assert start < 0.5 * top
+        fit = fit_lasso(_dataset(X, X @ np.array([0.8, 0.5])), radius=1.0)
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_path) <= 0.0)
+        assert start < fit.lipschitz <= 2.0 * top
+        # on the face b1 + b2 = 1: minimize 100 (b1 - 0.8)^2 + 9 (0.5 - b1)^2
+        np.testing.assert_allclose(fit.beta_hat, [169 / 218, 49 / 218], rtol=0, atol=1e-12)
+
+    def test_singular_support(self):
+        # two equal columns share the weight, so X_S'X_S is singular; the fit
+        # must still certify a minimizer: the one of the merged design, with
+        # its first weight split between the two columns
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((30, 2))
+        X = np.column_stack([a[:, 0], a[:, 0], a[:, 1]])
+        y = X @ np.array([0.5, 0.5, -0.3]) + 0.1 * rng.standard_normal(30)
+        fit = fit_lasso(_dataset(X, y), radius=3.0)
+        merged = fit_lasso(_dataset(a, y), radius=3.0)
+        assert fit.converged and fit.fp_residual <= 1e-6
+        assert np.all(np.diff(fit.objective_path) <= 0.0)
+        np.testing.assert_allclose([fit.beta_hat[0] + fit.beta_hat[1], fit.beta_hat[2]],
+                                   merged.beta_hat, rtol=0, atol=1e-6)
+        assert fit.objective == pytest.approx(merged.objective, rel=1e-9)
 
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):
