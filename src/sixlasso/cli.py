@@ -339,6 +339,7 @@ def fit_document_text(result) -> str:
         f"l2_norm = {fmt_real(result.l2_norm)}",
         f"fp_residual = {fmt_real(result.fp_residual)}",
         f"lipschitz = {fmt_real(result.lipschitz)}",
+        f"backtracks = {result.backtracks}",
         "coefficients:",
     ]
     lines.extend(fmt_real(c) for c in result.beta_hat)

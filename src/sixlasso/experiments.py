@@ -2,7 +2,10 @@
 
 Every trial seed derives from the sweep's base seed and the trial's position
 in the canonical enumeration, so records are reproducible bit-for-bit no
-matter how (or whether) trials are parallelized.
+matter how (or whether) trials are parallelized, for the same BLAS thread
+setting.  Across BLAS thread counts, lasso records can differ in the last
+digit: the exact finish of fit_lasso sums its matrix-matrix products in an
+order that depends on the thread count.
 """
 
 from __future__ import annotations
@@ -294,8 +297,10 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
 
     threads=None reads SIXLASSO_THREADS (0 or 1 = serial; k >= 2 = a pool of
     k worker processes).  Output is always sorted by trial_id and is
-    identical whichever way the trials were scheduled.  max_iter < 1 raises
-    ValueError before any trial runs, even in a sweep without lasso.
+    identical whichever way the trials were scheduled, as long as every
+    process runs the same BLAS thread setting (see the module docstring).
+    max_iter < 1 raises ValueError before any trial runs, even in a sweep
+    without lasso.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -276,12 +276,17 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     thereby deterministic except on the null event x_i'beta = 0.  The linear
     link produces y = X beta exactly (noiseless regression mode).
     Fully deterministic given (signal, n, link, seed).
+
+    X is drawn column-major (the normals fill one feature column after
+    another), so that a product with the columns of a sparse iterate's
+    support, as in fit_lasso, reads contiguous memory.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, signal.p))
-    t = X @ signal.beta
+    X = rng.standard_normal((signal.p, n)).T
+    support = signal.support
+    t = X[:, support] @ signal.beta[support]
     if link.kind == "linear":
         y = t.copy()
     else:

@@ -2,15 +2,16 @@
 
 fit_lasso minimizes (1/n)||y - X beta||_2^2 subject to ||beta||_1 <= radius by
 FISTA (accelerated projected gradient, Beck & Teboulle 2009) with exact
-l1-ball projection, a backtracked step 1/L and a function-value restart
-(O'Donoghue & Candes 2015).  Once the sign pattern of the iterate settles it
-tries an exact finish: the closed-form minimizer on that support and those
-signs (the active-set step of Osborne, Presnell & Turlach 2000).  It has one
-stop rule: the gradient-mapping certificate ||beta - P(beta - grad/L)||_2 <=
-1e-6, which the loop checks whenever a step moves the iterate by at most 1e-6
-and which the exact finish must pass.  pv_linear_fit maximizes <X'y, beta>
-over the intersection of an l1 ball and the unit l2 ball, the classical
-one-bit recovery baseline.
+l1-ball projection, an adaptive backtracked step 1/L (Scheinberg, Goldfarb &
+Bai 2014) and a function-value restart (O'Donoghue & Candes 2015).  Once the
+sign pattern of the iterate settles it tries an exact finish: the
+closed-form minimizer on that support and those signs (the active-set step
+of Osborne, Presnell & Turlach 2000).  It has one stop rule: the
+gradient-mapping certificate ||beta - P(beta - grad/L)||_2 <= 1e-6, which
+the loop checks whenever a step moves the iterate by at most 1e-6 and which
+the exact finish must pass.  pv_linear_fit maximizes <X'y, beta> over the
+intersection of an l1 ball and the unit l2 ball, the classical one-bit
+recovery baseline.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import Dataset
 
 _CERT_TOL = 1e-6
 _POWER_ITERS = 5
+_STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
 
@@ -36,8 +38,10 @@ class FitResult:
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
     lipschitz is that L: the step constant the last step and the
-    certificate used (lipschitz_estimate's start, doubled by every failed
-    sufficient-decrease test);
+    certificate used (lipschitz_estimate's start, shrunk by 0.8 before each
+    iteration and doubled by every failed sufficient-decrease test, so it
+    may end below the start);
+    backtracks is the number of failed sufficient-decrease tests;
     converged is true when the fit stopped on its own, not by running out of
     max_iter, and fp_residual <= 1e-6, the fit's only stop test;
     objective_path records the accepted objective value at every iteration,
@@ -54,6 +58,7 @@ class FitResult:
     l2_norm: float
     fp_residual: float
     lipschitz: float
+    backtracks: int
     objective_path: np.ndarray
 
 
@@ -89,8 +94,8 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     inflates the last estimate by 1.05.  The start never falls in the null
     space: (X x_i)_i = ||x_i||^2 > 0, so X'X x_i != 0, and every later
     iterate stays in the row space, where X'X is definite.  The estimate
-    may lie below the top eigenvalue; fit_lasso's backtracking raises it
-    where a step needs more.
+    may lie below the top eigenvalue; it is only fit_lasso's first step
+    constant, which the fit then shrinks or raises as its steps allow.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -138,13 +143,17 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     x+ = P(s - grad(s)/L) from s, the extrapolated point
     z = beta + ((t - 1)/t')(beta - beta_prev), whose residual and gradient
     are the same combinations of the last two, so an accepted iteration
-    costs one X @ and one X.T @ product.  L starts at lipschitz_estimate(X)
-    and is doubled, and the step retried from s, until the step passes
-    the sufficient-decrease test (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact
-    for this quadratic, and free: X(x+ - s) is the change in residual).  L
-    never falls.  When the step from z raises the objective, the momentum
-    restarts (t = 1, s = beta); a sufficient-decrease step from beta cannot
-    raise it, so objective_path is monotone.
+    costs one X @ and one X.T @ product.  X is held column-major, and the
+    X @ product touches only the columns of x+'s support.  L starts at
+    lipschitz_estimate(X).  Before each iteration's first step it is
+    multiplied by 0.8, and it is doubled, and the step retried from s,
+    until the step passes the sufficient-decrease test
+    (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact for this quadratic, and
+    free: X(x+ - s) is the change in residual).  So L tracks the curvature
+    on the iterate's support, which for n << p is a fraction of the top
+    eigenvalue of (2/n)X'X.  When the step from z raises the objective, the
+    momentum restarts (t = 1, s = beta); a sufficient-decrease step from
+    beta cannot raise it, so objective_path is monotone.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
     |S| <= n, one factorization of X_S'X_S solves it against X_S'y and
@@ -163,12 +172,14 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     its objective to objective_path.
 
     The one stop test of the loop is the certificate fp_residual <= 1e-6
-    at the new iterate.  It costs a projection, so it is checked only when
-    the new iterate lies within 1e-6 of the point its step started from.
-    The loop also stops, and gives up honestly, when that distance is
-    exactly 0 or when the step from beta rises by rounding; converged is
-    true only when the certificate passes.  A fit that runs out of max_iter
-    is never converged.
+    at the new iterate, with the current L.  ||b - P(b - grad/L)|| does not
+    fall as L falls, so a shrunk L only makes the test stricter.  It costs
+    a projection, so it is checked only when the new iterate lies within
+    1e-6 of the point its step started from.  The loop also stops, and
+    gives up honestly, when that distance is exactly 0 or when the step
+    from beta rises by rounding; converged is true only when the
+    certificate passes.  A fit that runs out of max_iter is never
+    converged.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
@@ -181,13 +192,16 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    X = np.asarray(data.X, dtype=float)
+    # column-major, so that X[:, S] is a block of contiguous columns; a no-op
+    # for generate_dataset's X, one copy for a row-major one
+    X = np.asfortranarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
     n, p = X.shape
 
     L = lipschitz_estimate(X)
+    backtracks = 0
 
     def gradient(r):
         return (2.0 / n) * (X.T @ r)
@@ -195,15 +209,17 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     def step_from(point, point_resid, g):
         """The backtracked step from point: (x+, its residual, its objective,
         ||x+ - point||_2)."""
-        nonlocal L
+        nonlocal L, backtracks
         while True:
             cand = project_l1_ball(point - g / L, radius)
-            r = X @ cand - y
+            S = np.flatnonzero(cand)
+            r = X[:, S] @ cand[S] - y
             dd = float(np.sum((cand - point) ** 2))
             dr = r - point_resid
             if dd == 0.0 or (2.0 / n) * float(dr @ dr) <= L * dd:
                 return cand, r, float(r @ r) / n, np.sqrt(dd)
             L *= 2.0
+            backtracks += 1
 
     def cert_residual(b, g):
         return float(np.linalg.norm(b - project_l1_ball(b - g / L, radius)))
@@ -254,6 +270,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     stopped = certified = False
     finished = None
     for iterations in range(1, max_iter + 1):
+        L *= _STEP_SHRINK
         candidate, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
         if f_new > f and mom != 0.0:
             # function-value restart: drop the momentum and step from beta
@@ -307,6 +324,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         l2_norm=float(np.linalg.norm(beta)),
         fp_residual=fp_residual,
         lipschitz=L,
+        backtracks=backtracks,
         objective_path=np.asarray(path),
     )
 

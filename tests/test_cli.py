@@ -92,19 +92,37 @@ class TestFitCommand:
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
 
     def test_reports_lipschitz_after_fp_residual(self, tmp_path, capsys):
-        # (2/2) X'X = diag(9, 1): the start estimate is 1.05 * 9, and the
-        # fit needs no larger step constant
-        design = tmp_path / "X.csv"
-        labels = tmp_path / "y.csv"
-        design.write_text("3,0\n0,1\n")
-        labels.write_text("1\n1\n")
-        code, out, _ = run_cli(capsys, "fit", str(design), str(labels), "--radius", "0.5")
+        # (2/2) X'X = diag(9, 1): the power steps start from the row (3, 0)
+        # and stay on e_1, so L starts at 1.05 * 9 = 9.45.  Each of the 6
+        # iterations first multiplies L by 0.8.  The first tries of
+        # iterations 1 and 4 meet a curvature of 8.31 and 8.41 along their
+        # move, above L = 7.56 and 7.74, so they fail the sufficient-decrease
+        # test and double L: it ends at 9.45 * 0.8^6 * 2^2
+        code, out = self._fit_diag_9_1(tmp_path, capsys)
         assert code == 0
         lines = out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("fp_residual = "))
         name, value = lines[at + 1].split(" = ")
         assert name == "lipschitz"
-        assert float(value) == pytest.approx(9.45, rel=1e-12)
+        assert float(value) == pytest.approx(9.45 * 0.8 ** 6 * 2 ** 2, rel=1e-12)
+        assert "iterations = 6" in lines
+
+    def test_reports_backtracks_after_lipschitz(self, tmp_path, capsys):
+        # the two failed sufficient-decrease tests of the case above
+        code, out = self._fit_diag_9_1(tmp_path, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("lipschitz = "))
+        assert lines[at + 1] == "backtracks = 2"
+
+    @staticmethod
+    def _fit_diag_9_1(tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("3,0\n0,1\n")
+        labels.write_text("1\n1\n")
+        code, out, _ = run_cli(capsys, "fit", str(design), str(labels), "--radius", "0.5")
+        return code, out
 
     def test_label_length_mismatch_names_both(self, tmp_path, capsys):
         design = tmp_path / "X.csv"

@@ -346,6 +346,7 @@ class TestPlaneScoring:
             zero = np.zeros(data.X.shape[1])
             return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
                              radius=radius, l2_norm=0.0, fp_residual=0.0, lipschitz=1.0,
+                             backtracks=0,
                              objective_path=np.ones(4))
 
         monkeypatch.setattr("sixlasso.experiments.fit_lasso", zero_fit)

@@ -207,6 +207,12 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
 
+    def test_design_is_column_major(self):
+        sig = make_signal(40, 3, "random", seed=6)
+        data = generate_dataset(sig, 25, PROBIT, seed=2)
+        assert data.X.shape == (25, 40)
+        assert data.X.flags.f_contiguous
+
     def test_moment_identity_logistic(self):
         """E[y x] = lambda beta* under Gaussian design; the engine behind
         direction recovery."""

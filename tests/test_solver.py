@@ -1,5 +1,5 @@
-"""Tests for the l1-ball projection, the FISTA solver (backtracking, restart
-and exact finish), and the linear baseline."""
+"""Tests for the l1-ball projection, the FISTA solver (adaptive backtracking,
+restart and exact finish), and the linear baseline."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sixlasso import (
     Dataset,
+    FitResult,
     LOGISTIC,
     NegativeRadius,
     PROBIT,
@@ -191,6 +192,29 @@ class TestFitLasso:
         # on the face b1 + b2 = 1: minimize 100 (b1 - 0.8)^2 + 9 (0.5 - b1)^2
         np.testing.assert_allclose(fit.beta_hat, [169 / 218, 49 / 218], rtol=0, atol=1e-12)
 
+    def test_step_constant_falls_below_the_start_when_n_much_less_than_p(self):
+        # the curvature on the final support is a fraction of the top
+        # eigenvalue of (2/n) X'X, and the adaptive L follows it down
+        sig = make_signal(1200, 10, "random", seed=1)
+        data = generate_dataset(sig, 150, PROBIT, seed=3)
+        fit = fit_lasso(data, radius=np.sqrt(10.0))
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_path) <= 0.0)
+        assert fit.lipschitz < lipschitz_estimate(data.X)
+
+    def test_row_and_column_major_designs_fit_alike(self):
+        sig = make_signal(300, 5, "random", seed=7)
+        data = generate_dataset(sig, 80, LOGISTIC, seed=8)
+        rows = fit_lasso(_dataset(np.ascontiguousarray(data.X), data.y), radius=2.0)
+        cols = fit_lasso(_dataset(np.asfortranarray(data.X), data.y), radius=2.0)
+        assert rows.backtracks > 0
+        for name in FitResult.__dataclass_fields__:
+            a, b = getattr(rows, name), getattr(cols, name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert a == b, name
+
     def test_singular_support(self):
         # two equal columns share the weight, so X_S'X_S is singular; the fit
         # must still certify a minimizer: the one of the merged design, with
@@ -232,6 +256,7 @@ class TestFitLasso:
         X = rng.standard_normal((n, p))
         y = rng.choice([-1.0, 1.0], n)
         fit = fit_lasso(_dataset(X, y), radius)
+        assert 0.0 < fit.lipschitz < np.inf
         assert np.abs(fit.beta_hat).sum() <= radius + 1e-9
         assert np.all(np.diff(fit.objective_path) <= 0)
         if fit.converged:
