@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -24,8 +25,6 @@ from .errors import SixLassoError
 from .experiments import SweepSpec, SummaryRow, TrialRecord, run_sweep, summarize
 from .metrics import TrialMetrics
 from .model import (
-    MONTE_CARLO,
-    QUADRATURE,
     Dataset,
     compute_lambda,
     compute_lambda_mc,
@@ -313,7 +312,7 @@ def _parse_bool(text: str) -> bool:
 
 def cmd_lambda(args) -> int:
     link = get_link(args.link)
-    if args.method == MONTE_CARLO:
+    if args.method == "mc":
         budget = args.budget if args.budget is not None else 1_000_000
         value, stderr = compute_lambda_mc(link, budget, args.seed)
         if value <= 0:
@@ -324,7 +323,7 @@ def cmd_lambda(args) -> int:
         print(fmt_real(stderr))
     else:
         budget = args.budget if args.budget is not None else 64
-        value = compute_lambda(link, QUADRATURE, budget)
+        value = compute_lambda(link, budget)
         print(fmt_real(value))
     return 0
 
@@ -369,6 +368,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 1 <= args.s <= args.p:
+        raise InputError(f"need 1 <= s <= p, got s={args.s}, p={args.p}")
     link = get_link(args.link)
     signal = make_signal(args.p, args.s, seed=args.seed)
     data = generate_dataset(signal, args.n, link, args.seed)
@@ -421,10 +422,15 @@ def cmd_sweep(args) -> int:
         spec, max_iter, out, out_svg = _sweep_spec_from(args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    summary_path = summary_path_for(out)
+    named = (("records", out), ("summary", summary_path), ("SVG", out_svg))
+    for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
+        if os.path.realpath(path_a) == os.path.realpath(path_b):
+            raise InputError(f"the {b} output {path_b} would overwrite "
+                             f"the {a} output {path_a}")
     records = run_sweep(spec, max_iter)
     rows = summarize(records)
     write_text_atomic(out, records_csv_text(records))
-    summary_path = summary_path_for(out)
     write_text_atomic(summary_path, summary_csv_text(rows))
     write_text_atomic(out_svg, sweep_svg_text(rows))
     print(f"wrote {out}")
@@ -448,8 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda = sub.add_parser("lambda", help="print the link constant E[F(Z)Z]")
     p_lambda.add_argument("--link", required=True,
                           choices=["linear", "logistic", "probit", "sign"])
-    p_lambda.add_argument("--method", default=QUADRATURE, choices=[QUADRATURE, MONTE_CARLO])
-    p_lambda.add_argument("--budget", type=int, default=None)
+    p_lambda.add_argument("--method", default="quadrature", choices=["quadrature", "mc"])
+    p_lambda.add_argument("--budget", type=int, default=None,
+                          help="Gauss-Hermite nodes for the smooth links (default 64, "
+                               "at least 32; sign is exact); samples for --method mc "
+                               "(default 1000000, at least 10000)")
     p_lambda.add_argument("--seed", type=int, default=0)
     p_lambda.set_defaults(func=cmd_lambda)
 

@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from .errors import InvalidSparsity, LinkRangeError, NonPositiveLambda
 
 LINK_KINDS = ("linear", "logistic", "probit", "sign", "tabulated")
-
-QUADRATURE = "quadrature"
-MONTE_CARLO = "mc"
 
 EQUAL_MAGNITUDE = "equal"
 RANDOM_MAGNITUDE = "random"
@@ -59,11 +56,6 @@ class LinkFunction:
             object.__setattr__(self, "values", values)
         elif self.knots is not None or self.values is not None:
             raise ValueError("knots/values are only valid for tabulated links")
-
-    @property
-    def is_binary_valid(self) -> bool:
-        """True when the range is inside [-1, 1], i.e. valid for +-1 responses."""
-        return self.kind != "linear"
 
     def __call__(self, t):
         return link_mean(self, t)
@@ -122,75 +114,30 @@ def _lambda_gauss_hermite(link: LinkFunction, nodes: int) -> float:
     return float(np.sum(w * link_mean(link, z) * z) / np.sqrt(np.pi))
 
 
-def _lambda_piecewise_exact(pieces) -> float:
-    """Integrate F(z) z phi(z) exactly for piecewise-linear F.
-
-    `pieces` is a list of (a, b, c, d) with F(z) = c + d z on [a, b]
-    (a = -inf / b = +inf allowed).  Uses
-        int_a^b z phi(z) dz   = phi(a) - phi(b)
-        int_a^b z^2 phi(z) dz = Phi(b) - Phi(a) + a phi(a) - b phi(b)
-    with phi, Phi the standard normal density and CDF.
-    """
-
-    def pdf(z):
-        if np.isinf(z):
-            return 0.0
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-    def cdf(z):
-        if z == -np.inf:
-            return 0.0
-        if z == np.inf:
-            return 1.0
-        return 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
-
-    total = 0.0
-    for a, b, c, d in pieces:
-        zp = pdf(a) - pdf(b)
-        m2 = cdf(b) - cdf(a) + (a * pdf(a) if np.isfinite(a) else 0.0) - (
-            b * pdf(b) if np.isfinite(b) else 0.0
-        )
-        total += c * zp + d * m2
-    return total
-
-
-def _link_pieces(link: LinkFunction):
-    if link.kind == "sign":
-        return [(-np.inf, 0.0, -1.0, 0.0), (0.0, np.inf, 1.0, 0.0)]
-    knots, values = link.knots, link.values
-    pieces = [(-np.inf, knots[0], values[0], 0.0)]
-    for i in range(knots.size - 1):
-        d = (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
-        c = values[i] - d * knots[i]
-        pieces.append((knots[i], knots[i + 1], c, d))
-    pieces.append((knots[-1], np.inf, values[-1], 0.0))
-    return pieces
-
-
-def compute_lambda(link: LinkFunction, method: str = QUADRATURE, budget: int = 64,
-                   seed: int = 0) -> float:
+def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
     """Compute the link constant lambda = E[F(Z)Z], Z ~ N(0,1).
 
-    method="quadrature": Gauss-Hermite with `budget` nodes under z = sqrt(2) u
-    for the smooth links; the sign link and tabulated links have a kink, where
-    a fixed-node rule stalls at ~1e-3 accuracy, so those integrate their
-    piecewise-linear segments in closed form (exact).  method="mc" averages
-    `budget` i.i.d. samples (see compute_lambda_mc for the standard error).
+    The smooth links (linear, logistic, probit) use Gauss-Hermite with
+    `budget` nodes under z = sqrt(2) u.  The sign and tabulated links have a
+    kink, where a fixed-node rule stalls at ~1e-3 accuracy, so they use
+    Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981) in closed form: sign
+    jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi); a tabulated link is
+    continuous, with slope d_i between knots k_i and k_i+1 and flat beyond
+    the outer knots, giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  The Monte
+    Carlo cross-check is compute_lambda_mc.
 
     Raises NonPositiveLambda when the result is <= 0: the estimator theory
     needs lambda > 0, which every monotone nondecreasing odd link satisfies.
     """
-    if method == QUADRATURE:
-        if budget < 32:
-            raise ValueError("quadrature budget must be >= 32 nodes")
-        if link.kind in ("sign", "tabulated"):
-            value = _lambda_piecewise_exact(_link_pieces(link))
-        else:
-            value = _lambda_gauss_hermite(link, budget)
-    elif method == MONTE_CARLO:
-        value, _ = compute_lambda_mc(link, budget, seed)
+    if budget < 32:
+        raise ValueError("quadrature budget must be >= 32 nodes")
+    if link.kind == "sign":
+        value = float(np.sqrt(2.0 / np.pi))
+    elif link.kind == "tabulated":
+        slopes = np.diff(link.values) / np.diff(link.knots)
+        value = float(slopes @ np.diff(ndtr(link.knots)))
     else:
-        raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'")
+        value = _lambda_gauss_hermite(link, budget)
     if value <= 0.0:
         raise NonPositiveLambda(f"lambda = {value} <= 0 for link {link.kind!r}")
     return value

@@ -24,7 +24,6 @@ from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
 _CERT_TOL = 1e-6
-_POWER_ITERS = 5
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
@@ -38,9 +37,10 @@ class FitResult:
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
     lipschitz is that L: the step constant the last step and the
-    certificate used (lipschitz_estimate's start, shrunk by 0.8 before each
-    iteration and doubled by every failed sufficient-decrease test, so it
-    may end below the start);
+    certificate used (it starts at lipschitz_estimate, the largest diagonal
+    entry of (2/n)X'X, is shrunk by 0.8 before each iteration and doubled
+    by every failed sufficient-decrease test, so it may end on either side
+    of the start);
     backtracks is the number of failed sufficient-decrease tests;
     converged is true when the fit stopped on its own, not by running out of
     max_iter, and fp_residual <= 1e-6, the fit's only stop test;
@@ -88,28 +88,19 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def lipschitz_estimate(X: np.ndarray) -> float:
-    """Cheap start for the step constant: about the top eigenvalue of (2/n) X'X.
+    """Start for the step constant: the largest diagonal entry of (2/n) X'X.
 
-    Runs _POWER_ITERS power steps from the largest-norm row x_i of X and
-    inflates the last estimate by 1.05.  The start never falls in the null
-    space: (X x_i)_i = ||x_i||^2 > 0, so X'X x_i != 0, and every later
-    iterate stays in the row space, where X'X is definite.  The estimate
-    may lie below the top eigenvalue; it is only fit_lasso's first step
-    constant, which the fit then shrinks or raises as its steps allow.
+    That is (2/n) times the largest squared column norm of X, a lower bound
+    on the top eigenvalue of (2/n) X'X that scales by c^2 under X -> cX.  It
+    is only fit_lasso's first step constant, which the fit then shrinks or
+    raises as its steps allow.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
     if not np.any(X):
         raise ZeroMatrix("X is identically zero")
-    n = X.shape[0]
-    v = X[np.argmax(np.einsum("ij,ij->i", X, X))]
-    v = v / np.linalg.norm(v)
-    for _ in range(_POWER_ITERS):
-        w = (2.0 / n) * (X.T @ (X @ v))
-        lam = np.linalg.norm(w)
-        v = w / lam
-    return 1.05 * float(lam)
+    return (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
 
 
 def _normal_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -145,7 +136,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     are the same combinations of the last two, so an accepted iteration
     costs one X @ and one X.T @ product.  X is held column-major, and the
     X @ product touches only the columns of x+'s support.  L starts at
-    lipschitz_estimate(X).  Before each iteration's first step it is
+    lipschitz_estimate(X), the largest diagonal entry of (2/n)X'X, a lower
+    bound on its top eigenvalue.  Before each iteration's first step it is
     multiplied by 0.8, and it is doubled, and the step retried from s,
     until the step passes the sufficient-decrease test
     (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact for this quadratic, and

@@ -92,19 +92,18 @@ class TestFitCommand:
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
 
     def test_reports_lipschitz_after_fp_residual(self, tmp_path, capsys):
-        # (2/2) X'X = diag(9, 1): the power steps start from the row (3, 0)
-        # and stay on e_1, so L starts at 1.05 * 9 = 9.45.  Each of the 6
-        # iterations first multiplies L by 0.8.  The first tries of
-        # iterations 1 and 4 meet a curvature of 8.31 and 8.41 along their
-        # move, above L = 7.56 and 7.74, so they fail the sufficient-decrease
-        # test and double L: it ends at 9.45 * 0.8^6 * 2^2
+        # (2/2) X'X = diag(9, 1): L starts at its largest diagonal entry, 9.
+        # Each of the 6 iterations first multiplies L by 0.8.  The first
+        # tries of iterations 1 and 4 meet a curvature of 8.40 and 8.45 along
+        # their move, above L = 7.2 and 7.37, so they fail the
+        # sufficient-decrease test and double L: it ends at 9 * 0.8^6 * 2^2
         code, out = self._fit_diag_9_1(tmp_path, capsys)
         assert code == 0
         lines = out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("fp_residual = "))
         name, value = lines[at + 1].split(" = ")
         assert name == "lipschitz"
-        assert float(value) == pytest.approx(9.45 * 0.8 ** 6 * 2 ** 2, rel=1e-12)
+        assert float(value) == pytest.approx(9.0 * 0.8 ** 6 * 2 ** 2, rel=1e-12)
         assert "iterations = 6" in lines
 
     def test_reports_backtracks_after_lipschitz(self, tmp_path, capsys):
@@ -191,6 +190,14 @@ class TestSimulateCommand:
         assert open(f"{a}_X.csv").read() == open(f"{b}_X.csv").read()
         assert open(f"{a}_y.csv").read() == open(f"{b}_y.csv").read()
         assert open(f"{a}_beta.csv").read() == open(f"{b}_beta.csv").read()
+
+    @pytest.mark.parametrize("s", ["0", "7"])
+    def test_sparsity_outside_one_to_p_is_input_error(self, tmp_path, capsys, s):
+        code, _, err = run_cli(capsys, "simulate", "--p", "5", "--s", s, "--n", "10",
+                               "--link", "sign", "--out", str(tmp_path / "sim"))
+        assert code == 2
+        assert f"need 1 <= s <= p, got s={s}, p=5" in err
+        assert not os.listdir(tmp_path)
 
     def test_moment_identity_from_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "m")
@@ -357,6 +364,24 @@ class TestSweepCommand:
         assert code == 2
         assert "finite radius_value" in err
         assert not out.exists()
+
+    def test_colliding_outputs_are_input_errors(self, tmp_path, capsys, monkeypatch):
+        # the SVG would overwrite the records, or the summary written next to
+        # them; both are refused before any trial runs
+        def no_sweep(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr("sixlasso.cli.run_sweep", no_sweep)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        out = str(tmp_path / "r.csv")
+        for svg, victim in ((os.path.join(str(tmp_path), ".", "r.csv"), "records"),
+                            (str(tmp_path / "r_summary.csv"), "summary")):
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config),
+                                   "--out", out, "--out-svg", svg)
+            assert code == 2
+            assert f"SVG output {svg} would overwrite the {victim} output" in err
+            assert (out if victim == "records" else summary_path_for(out)) in err
+        assert sorted(os.listdir(tmp_path)) == ["sweep.cfg"]
 
     def test_records_csv_round_trip(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -25,6 +25,14 @@ from sixlasso import (
 
 ALL_LINKS = [LINEAR, LOGISTIC, PROBIT, SIGN]
 
+TABULATED_LINKS = [
+    pytest.param(tabulated_link([-1.0, 1.0], [-1.0, 1.0]), id="tabulated-ramp"),
+    pytest.param(tabulated_link([-2.0, -0.5, 0.0, 0.5, 2.0], [-1.0, -0.6, 0.0, 0.6, 1.0]),
+                 id="tabulated-odd"),
+    pytest.param(tabulated_link([-3.0, -1.0, 0.25, 1.5], [-0.6, -0.5, 0.2, 0.9]),
+                 id="tabulated-asymmetric"),
+]
+
 
 class TestLinkMean:
     def test_logistic_at_origin(self):
@@ -112,16 +120,21 @@ class TestComputeLambda:
     def test_logistic_value(self):
         assert compute_lambda(LOGISTIC, budget=64) == pytest.approx(0.4132, abs=1e-3)
 
-    @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
+    @pytest.mark.parametrize("link", [pytest.param(link, id=link.kind) for link in ALL_LINKS]
+                             + TABULATED_LINKS)
     def test_adaptive_quadrature_agrees(self, link):
         """Independent oracle: adaptive integration of F(z) z phi(z), split at
-        the only possible kink (z = 0)."""
+        every possible kink (z = 0, or a tabulated link's knots).  Stein's
+        identity makes the sign and tabulated values exact."""
         def integrand(z):
             return link_mean(link, z) * z * norm.pdf(z)
-        lo, lo_err = quad(integrand, -40, 0, limit=200)
-        hi, hi_err = quad(integrand, 0, 40, limit=200)
-        assert lo_err + hi_err < 1e-7  # scipy's estimate is conservative
-        assert compute_lambda(link, budget=64) == pytest.approx(lo + hi, abs=1e-8)
+        kinks = link.knots if link.kind == "tabulated" else [0.0]
+        edges = [-40.0, *kinks, 40.0]
+        parts = [quad(integrand, a, b, limit=200) for a, b in zip(edges[:-1], edges[1:])]
+        assert sum(err for _, err in parts) < 1e-7  # scipy's estimate is conservative
+        tol = 1e-12 if link.kind == "tabulated" else 1e-8
+        assert compute_lambda(link, budget=64) == pytest.approx(sum(v for v, _ in parts),
+                                                                abs=tol)
 
     @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
     def test_quadrature_mc_agreement(self, link):
@@ -132,18 +145,12 @@ class TestComputeLambda:
         flat = tabulated_link([-1.0, 1.0], [0.0, 0.0])
         with pytest.raises(NonPositiveLambda):
             compute_lambda(flat)
-        with pytest.raises(NonPositiveLambda):
-            compute_lambda(flat, method="mc", budget=10_000)
 
     def test_budget_floors(self):
         with pytest.raises(ValueError):
             compute_lambda(LOGISTIC, budget=16)
         with pytest.raises(ValueError):
             compute_lambda_mc(LOGISTIC, budget=100)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            compute_lambda(LOGISTIC, method="simpson")
 
 
 class TestMakeSignal:

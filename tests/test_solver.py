@@ -88,34 +88,26 @@ class TestLipschitzEstimate:
     def test_identity_design(self):
         n = 6
         est = lipschitz_estimate(np.eye(n))
-        assert est == pytest.approx(1.05 * 2.0 / n, abs=1e-6)
+        assert est == pytest.approx(2.0 / n, abs=1e-6)
 
     def test_diagonal_design(self):
-        # (2/2) X'X = diag(9, 1): top eigenvalue 9, inflated by 1.05
+        # (2/2) X'X = diag(9, 1): largest diagonal entry 9
         est = lipschitz_estimate(np.diag([3.0, 1.0]))
-        assert est == pytest.approx(9.45, abs=1e-6)
+        assert est == pytest.approx(9.0, abs=1e-6)
 
     def test_matches_dense_eigensolver(self):
-        # five power steps from the largest row: never above 1.05 times the
-        # top eigenvalue, never below 1.05 times that row's Rayleigh quotient
+        # exactly the largest diagonal entry of (2/n) X'X (integer entries, so
+        # every column sum is exact), and never above the top eigenvalue
         rng = np.random.default_rng(8)
-        X = rng.standard_normal((50, 10))
-        top = float(np.linalg.eigvalsh((2.0 / 50) * X.T @ X)[-1])
-        row = X[np.argmax(np.sum(X * X, axis=1))]
-        floor = (2.0 / 50) * np.sum((X @ row) ** 2) / (row @ row)
+        X = rng.integers(-4, 5, size=(50, 10)).astype(float)
+        gram = (2.0 / 50) * X.T @ X
         est = lipschitz_estimate(X)
-        assert 1.05 * floor <= est <= 1.05 * top
+        assert est == (2.0 / 50) * np.diag(X.T @ X).max()
+        assert est <= float(np.linalg.eigvalsh(gram)[-1])
 
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrix):
             lipschitz_estimate(np.zeros((4, 3)))
-
-    def test_null_space_start_falls_back(self):
-        # the all-ones vector is the null vector of X'X here; the largest-row
-        # start never lies in the null space
-        X = np.array([[1.0, -1.0]])
-        est = lipschitz_estimate(X)
-        assert est == pytest.approx(1.05 * 4.0, abs=1e-6)
 
 
 def _dataset(X, y):
@@ -177,30 +169,38 @@ class TestFitLasso:
             assert fit.iterations <= 400
 
     def test_start_below_half_the_top_eigenvalue(self):
-        # X'X = diag(100, 9) and the largest row is (0, 3): the power
-        # iteration never leaves e_2, so L starts at 1.05 * 9 * 2/n, below
-        # half of 100 * 2/n, and backtracking must raise it
-        n = 101
-        X = np.vstack([np.tile([1.0, 0.0], (n - 1, 1)), [0.0, 3.0]])
-        top = 2.0 * 100.0 / n
+        # three strongly correlated columns: each diagonal entry of (2/n) X'X
+        # is about a third of its top eigenvalue, so L starts below half of
+        # it, and backtracking must raise it
+        rng = np.random.default_rng(0)
+        n = 40
+        X = rng.standard_normal(n)[:, None] + 0.3 * rng.standard_normal((n, 3))
+        y = X @ np.array([0.6, 0.3, 0.4]) + 0.1 * rng.standard_normal(n)
+        top = float(np.linalg.eigvalsh((2.0 / n) * X.T @ X)[-1])
         start = lipschitz_estimate(X)
         assert start < 0.5 * top
-        fit = fit_lasso(_dataset(X, X @ np.array([0.8, 0.5])), radius=1.0)
+        fit = fit_lasso(_dataset(X, y), radius=1.0)
         assert fit.converged
         assert np.all(np.diff(fit.objective_path) <= 0.0)
         assert start < fit.lipschitz <= 2.0 * top
-        # on the face b1 + b2 = 1: minimize 100 (b1 - 0.8)^2 + 9 (0.5 - b1)^2
-        np.testing.assert_allclose(fit.beta_hat, [169 / 218, 49 / 218], rtol=0, atol=1e-12)
+        # on the face b1 + b2 + b3 = 1, the KKT system
+        # [X'X 1; 1' 0][b; nu] = [X'y; 1] has b > 0 and nu > 0: the minimizer
+        ones = np.ones((3, 1))
+        kkt = np.block([[X.T @ X, ones], [ones.T, np.zeros((1, 1))]])
+        b_nu = np.linalg.solve(kkt, np.append(X.T @ y, 1.0))
+        assert np.all(b_nu > 0.0)
+        np.testing.assert_allclose(fit.beta_hat, b_nu[:3], rtol=0, atol=1e-12)
 
-    def test_step_constant_falls_below_the_start_when_n_much_less_than_p(self):
+    def test_step_constant_ends_below_half_the_top_eigenvalue_when_n_much_less_than_p(self):
         # the curvature on the final support is a fraction of the top
-        # eigenvalue of (2/n) X'X, and the adaptive L follows it down
+        # eigenvalue of (2/n) X'X, and the adaptive L follows it, not the top
         sig = make_signal(1200, 10, "random", seed=1)
         data = generate_dataset(sig, 150, PROBIT, seed=3)
         fit = fit_lasso(data, radius=np.sqrt(10.0))
         assert fit.converged
         assert np.all(np.diff(fit.objective_path) <= 0.0)
-        assert fit.lipschitz < lipschitz_estimate(data.X)
+        top = (2.0 / 150) * float(np.linalg.eigvalsh(data.X @ data.X.T)[-1])
+        assert fit.lipschitz < 0.5 * top
 
     def test_row_and_column_major_designs_fit_alike(self):
         sig = make_signal(300, 5, "random", seed=7)
