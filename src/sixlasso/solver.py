@@ -155,7 +155,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
     (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
     rounding.)  The finish is tried once whenever a sign pattern has held
-    for 5 iterations, and once more when the certificate stops the loop.
+    for 5 iterations, and once more whenever the loop stops on its own.
     b is accepted only if it is finite, lies in the ball once projected
     onto it (rounding), passes the certificate, and changes the objective
     by Delta = <grad, b - beta> + (1/n)||X(b - beta)||^2 <= 1e-13 f
@@ -259,7 +259,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
     signs, stable = np.zeros(p), 0  # sign pattern of beta, and its age in iterations
     fp_residual = None  # certificate at beta, once computed
-    stopped = certified = False
+    stopped = False
     finished = None
     for iterations in range(1, max_iter + 1):
         L *= _STEP_SHRINK
@@ -281,8 +281,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         if step_len <= _CERT_TOL:
             fp_residual = cert_residual(beta, grad)
             # a fixed point whose certificate fails gives up honestly
-            certified = fp_residual <= _CERT_TOL
-            if certified or step_len == 0.0:
+            if fp_residual <= _CERT_TOL or step_len == 0.0:
                 stopped = True
                 break
         new_signs = np.sign(beta)
@@ -299,7 +298,9 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         z = beta + mom * (beta - beta_prev)
         z_resid = resid + mom * (resid - resid_prev)
         z_grad = grad + mom * (grad - grad_prev)
-    if certified:
+    if stopped and finished is None:
+        # every stop of the loop's own tries the finish: a stop on a rounding
+        # rise can come one iteration earlier on (cX, cy) than on (X, y)
         finished = exact_finish(beta, resid, grad, f)
     if finished is not None:
         beta, f, fp_residual = finished

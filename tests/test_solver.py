@@ -3,7 +3,7 @@ restart and exact finish), and the linear baseline."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixlasso import (
@@ -102,7 +102,7 @@ class TestLipschitzEstimate:
         X = rng.integers(-4, 5, size=(50, 10)).astype(float)
         gram = (2.0 / 50) * X.T @ X
         est = lipschitz_estimate(X)
-        assert est == (2.0 / 50) * np.diag(X.T @ X).max()
+        assert est == np.diag(gram).max()
         assert est <= float(np.linalg.eigvalsh(gram)[-1])
 
     def test_zero_matrix_raises(self):
@@ -250,6 +250,9 @@ class TestFitLasso:
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), p=st.integers(1, 12),
            radius=st.floats(0, 5), c=st.sampled_from([1e-3, 0.37, 4.0, 1e3]))
+    # (cX, cy) stops on a rounding rise one iteration before (X, y) stops on
+    # the exact finish; the finish after that stop brings both to one point
+    @example(seed=33692, n=30, p=3, radius=0.375, c=1e-3)
     @settings(max_examples=100, deadline=None)
     def test_feasible_certified_and_scale_invariant(self, seed, n, p, radius, c):
         rng = np.random.default_rng(seed)
