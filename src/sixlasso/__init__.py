@@ -1,5 +1,23 @@
 """Sparse direction recovery for binary single-index data via l1-constrained
-least squares, with brute-force oracles and a seeded Monte Carlo harness."""
+least squares, with brute-force oracles and a seeded Monte Carlo harness.
+
+Importing sixlasso sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless the environment already sets them, so BLAS runs
+on one thread in this process and in the sweep pool's spawned workers.  The
+setting takes effect only where sixlasso is imported before numpy.
+"""
+
+import os
+
+# Trials run in parallel across SIXLASSO_THREADS worker processes, so that is
+# the one source of parallelism.  A second BLAS thread buys no wall time at
+# these sizes: it spins through the rest of a sweep once a product wakes it,
+# and it makes the summation order, and so the last digit of lasso records,
+# depend on the thread count.  This must run before numpy is first imported;
+# a value the user exported is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .errors import (
     DimensionTooLarge,

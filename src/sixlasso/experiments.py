@@ -2,10 +2,13 @@
 
 Every trial seed derives from the sweep's base seed and the trial's position
 in the canonical enumeration, so records are reproducible bit-for-bit no
-matter how (or whether) trials are parallelized, for the same BLAS thread
-setting.  Across BLAS thread counts, lasso records can differ in the last
-digit: the exact finish of fit_lasso sums its matrix-matrix products in an
-order that depends on the thread count.
+matter how (or whether) trials are parallelized.  That needs BLAS to sum in
+the same order in every process: `import sixlasso` pins BLAS to one thread
+(see the package docstring), and the pool's spawned workers inherit the
+setting.  A value above 1 that the user exported for OPENBLAS_NUM_THREADS
+(or OMP_NUM_THREADS, MKL_NUM_THREADS) is kept, and so are the threads of a
+process that imported numpy before sixlasso; lasso records may then differ
+from a one-thread run in the last digit.
 """
 
 from __future__ import annotations
@@ -296,9 +299,9 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     """Run every (n, rep, estimator) trial of the sweep.
 
     threads=None reads SIXLASSO_THREADS (0 or 1 = serial; k >= 2 = a pool of
-    k worker processes).  Output is always sorted by trial_id and is
-    identical whichever way the trials were scheduled, as long as every
-    process runs the same BLAS thread setting (see the module docstring).
+    k spawned worker processes, whose BLAS runs on one thread).
+    Output is always sorted by trial_id and is identical, runtime_ms aside,
+    whichever way the trials were scheduled (see the module docstring).
     max_iter < 1 raises ValueError before any trial runs, even in a sweep
     without lasso.
     """

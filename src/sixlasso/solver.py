@@ -6,7 +6,8 @@ l1-ball projection, an adaptive backtracked step 1/L (Scheinberg, Goldfarb &
 Bai 2014) and a function-value restart (O'Donoghue & Candes 2015).  Once the
 sign pattern of the iterate settles it tries an exact finish: the
 closed-form minimizer on that support and those signs (the active-set step
-of Osborne, Presnell & Turlach 2000).  It has one stop rule: the
+of Osborne, Presnell & Turlach 2000), from one LAPACK Cholesky
+factorization.  It has one stop rule: the
 gradient-mapping certificate ||beta - P(beta - grad/L)||_2 <= 1e-6, which
 the loop checks whenever a step moves the iterate by at most 1e-6 and which
 the exact finish must pass.  pv_linear_fit maximizes <X'y, beta> over the
@@ -93,38 +94,37 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     That is (2/n) times the largest squared column norm of X, a lower bound
     on the top eigenvalue of (2/n) X'X that scales by c^2 under X -> cX.  It
     is only fit_lasso's first step constant, which the fit then shrinks or
-    raises as its steps allow.
+    raises as its steps allow.  An all-zero X, or one whose squares underflow
+    to a start of 0, raises ZeroMatrix: doubling could never lift L off 0,
+    and the fit would backtrack forever.  A start that overflows raises
+    ValueError, since a certificate at L = inf would be vacuous.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
     if not np.any(X):
         raise ZeroMatrix("X is identically zero")
-    return (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
+    with np.errstate(over="ignore"):
+        L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
+    if L == 0.0:
+        raise ZeroMatrix("the squares of X's entries underflow to 0")
+    if not np.isfinite(L):
+        raise ValueError("the squared column norms of X overflow")
+    return L
 
 
 def _normal_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     """Solve (A'A) Z = B, or None when A'A is not numerically positive definite.
 
-    Cholesky A'A = C C', computed column by column on A'A stacked over B',
-    so that the rows below C come out as (C^-1 B)'; back substitution then
-    gives Z.  Everything is a matrix-vector product or a product with 8
-    columns of A: a full BLAS-3 product or LAPACK factorization of this
-    size would start the BLAS library's worker threads, which then spin
-    through the rest of a sweep whose own products run on one thread.
+    Cholesky A'A = C C' (LAPACK), then C V = B and C' Z = V.  BLAS runs on
+    one thread in every sixlasso process (see the package docstring), so
+    these level-3 calls give the same bits in a serial and a pooled sweep.
     """
-    k = A.shape[1]
-    M = np.vstack([np.hstack([A.T @ A[:, j:j + 8] for j in range(0, k, 8)]), B.T])
-    L = np.zeros_like(M)
-    for j in range(k):
-        c = M[j:, j] - L[j:, :j] @ L[j, :j]
-        if not c[0] > 0.0:
-            return None
-        L[j:, j] = c / np.sqrt(c[0])
-    Z = L[k:].T.copy()
-    for i in range(k - 1, -1, -1):
-        Z[i] = (Z[i] - L[i + 1:k, i] @ Z[i + 1:]) / L[i, i]
-    return Z
+    try:
+        C = np.linalg.cholesky(A.T @ A)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(C.T, np.linalg.solve(C, B))
 
 
 def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
@@ -148,8 +148,9 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     beta cannot raise it, so objective_path is monotone.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
-    |S| <= n, one factorization of X_S'X_S solves it against X_S'y and
-    sigma, giving u and w.  If sigma'u <= radius, b = u, the least-squares
+    |S| <= n, one Cholesky factorization of X_S'X_S solves it against X_S'y
+    and sigma, giving u and w (none when X_S'X_S is not numerically
+    positive definite).  If sigma'u <= radius, b = u, the least-squares
     point on S; otherwise b = u - nu w with sigma'b = radius, the solution of
     the KKT system [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps

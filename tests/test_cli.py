@@ -1,11 +1,15 @@
 """Tests for the command-line interface and on-disk formats."""
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sixlasso
 from sixlasso import compute_lambda, get_link, make_signal
 from sixlasso.cli import (
     fmt_real,
@@ -157,6 +161,36 @@ class TestFitCommand:
         assert code == 2
         assert out == ""
         assert "radius must be finite" in err
+
+    def test_underflowing_design_is_domain_error(self, tmp_path):
+        # in a subprocess with a timeout: a fit whose step constant starts at
+        # 0 would otherwise backtrack forever
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1e-200,0\n0,1e-200\n")
+        labels.write_text("1\n-1\n")
+        src = str(Path(sixlasso.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "sixlasso.cli", "fit", str(design), str(labels),
+                 "--radius", "1"], env=env, capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("fit on an underflowing design did not return within 60 s")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "ZeroMatrix" in done.stderr and "underflow" in done.stderr
+
+    def test_overflowing_design_is_input_error(self, tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1e200,0\n0,1e200\n")
+        labels.write_text("1\n-1\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
 
     def test_stdout_when_no_out(self, tmp_path, capsys):
         design = tmp_path / "X.csv"

@@ -109,6 +109,16 @@ class TestLipschitzEstimate:
         with pytest.raises(ZeroMatrix):
             lipschitz_estimate(np.zeros((4, 3)))
 
+    def test_underflowing_squares_raise(self):
+        # 1e-200 squared is 0 in double precision: a start of 0 that doubling
+        # could never lift
+        with pytest.raises(ZeroMatrix, match="underflow"):
+            lipschitz_estimate(np.diag([1e-200, 1e-200]))
+
+    def test_overflowing_squares_raise(self):
+        with pytest.raises(ValueError, match="overflow"):
+            lipschitz_estimate(np.diag([1e200, 1e200]))
+
 
 def _dataset(X, y):
     return Dataset(X=X, y=np.asarray(y, float), n=X.shape[0], link_kind="file", seed=0)
@@ -243,6 +253,11 @@ class TestFitLasso:
                 fit_lasso(_dataset(X, [1.0, 0.0, 0.0]), radius=1.0)
             with pytest.raises(ValueError, match="finite"):
                 fit_lasso(_dataset(np.eye(3), [1.0, bad, 0.0]), radius=1.0)
+
+    def test_overflowing_design_rejected(self):
+        # L = inf would certify any point: g/L is 0
+        with pytest.raises(ValueError, match="overflow"):
+            fit_lasso(_dataset(np.diag([1e200, 1e200]), [1.0, -1.0]), 1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iter"):
