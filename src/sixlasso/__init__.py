@@ -17,7 +17,7 @@ import os
 # a value the user exported is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-del _var
+del os, _var  # keeps both out of __all__
 
 from .errors import (
     DimensionTooLarge,

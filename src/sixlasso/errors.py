@@ -31,7 +31,8 @@ class NegativeRadius(SixLassoError):
 
 
 class ZeroMatrix(SixLassoError):
-    """A design matrix was identically zero where a nonzero one is required."""
+    """A design matrix was identically zero, or so small that its squares
+    underflow to zero, where a nonzero one is required."""
 
 
 class ZeroGradient(SixLassoError):

@@ -102,12 +102,10 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
-    if not np.any(X):
-        raise ZeroMatrix("X is identically zero")
     with np.errstate(over="ignore"):
         L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
     if L == 0.0:
-        raise ZeroMatrix("the squares of X's entries underflow to 0")
+        raise ZeroMatrix("X is identically zero, or its squares underflow to 0")
     if not np.isfinite(L):
         raise ValueError("the squared column norms of X overflow")
     return L
@@ -177,7 +175,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
     infinite entry in X or y, a non-finite radius, or max_iter < 1 raises
-    ValueError.
+    ValueError, and so does an X whose squared column norms overflow; an X
+    whose squares all underflow to 0 raises ZeroMatrix (lipschitz_estimate).
     """
     if not np.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")

@@ -32,8 +32,8 @@ def fresh_env(**overrides):
     return env
 
 
-def run_python(code, env):
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+def run_python(args, env):
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -49,14 +49,14 @@ print(json.dumps({"env": {v: os.environ.get(v) for v in %r}, "tasks": tasks}))
 
 class TestBlasPin:
     def test_import_pins_blas_to_one_thread(self):
-        probe = json.loads(run_python(PROBE, fresh_env()))
+        probe = json.loads(run_python(["-c", PROBE], fresh_env()))
         assert probe["env"] == {v: "1" for v in BLAS_VARS}
         if probe["tasks"] is None:
             pytest.skip("thread count is read from /proc/self/task, Linux only")
         assert probe["tasks"] == 1
 
     def test_exported_value_is_kept(self):
-        probe = json.loads(run_python(PROBE, fresh_env(OPENBLAS_NUM_THREADS="2")))
+        probe = json.loads(run_python(["-c", PROBE], fresh_env(OPENBLAS_NUM_THREADS="2")))
         assert probe["env"]["OPENBLAS_NUM_THREADS"] == "2"
         assert probe["env"]["OMP_NUM_THREADS"] == "1"
 
@@ -64,8 +64,7 @@ class TestBlasPin:
 def test_records_do_not_depend_on_blas_threads(tmp_path):
     def records(name, **overrides):
         out = tmp_path / f"{name}.csv"
-        run_python(f"import sys; from sixlasso.cli import main; sys.exit(main({SWEEP!r} "
-                   f"+ ['--out', {str(out)!r}]))", fresh_env(**overrides))
+        run_python(["-m", "sixlasso.cli", *SWEEP, "--out", str(out)], fresh_env(**overrides))
         # runtime_ms is last
         return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
 
