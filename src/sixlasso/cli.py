@@ -22,9 +22,17 @@ import tempfile
 import numpy as np
 
 from .errors import SixLassoError
-from .experiments import SweepSpec, SummaryRow, TrialRecord, run_sweep, summarize
+from .experiments import (
+    RADIUS_RULES,
+    SweepSpec,
+    SummaryRow,
+    TrialRecord,
+    run_sweep,
+    summarize,
+)
 from .metrics import TrialMetrics
 from .model import (
+    BUILTIN_LINKS,
     Dataset,
     compute_lambda,
     compute_lambda_mc,
@@ -356,6 +364,8 @@ def cmd_fit(args) -> int:
         raise InputError(f"labels file {args.labels} must be a single column or row")
     if y.shape[0] != X.shape[0]:
         raise InputError(f"design has {X.shape[0]} rows but labels file has {y.shape[0]} values")
+    if not 0 <= args.radius < np.inf:
+        raise InputError(f"--radius must be finite and >= 0, got {args.radius}")
     data = Dataset(X=X, y=y, n=X.shape[0], link_kind="file", seed=0)
     result = fit_lasso(data, args.radius, args.max_iter)
     text = fit_document_text(result)
@@ -450,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "for binary single-index data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    links = tuple(BUILTIN_LINKS)
 
     p_lambda = sub.add_parser("lambda", help="print the link constant E[F(Z)Z]")
-    p_lambda.add_argument("--link", required=True,
-                          choices=["linear", "logistic", "probit", "sign"])
+    p_lambda.add_argument("--link", required=True, choices=links)
     p_lambda.add_argument("--method", default="quadrature", choices=["quadrature", "mc"])
     p_lambda.add_argument("--budget", type=int, default=None,
                           help="Gauss-Hermite nodes for the smooth links (default 64, "
@@ -474,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--s", type=int, required=True)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--link", required=True,
-                       choices=["linear", "logistic", "probit", "sign"])
+    p_sim.add_argument("--link", required=True, choices=links)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True,
                        help="path prefix; writes <out>_X.csv, <out>_y.csv, <out>_beta.csv")
@@ -486,10 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", type=int, default=None)
     p_sweep.add_argument("--s", type=int, default=None)
     p_sweep.add_argument("--n-grid", dest="n_grid", type=_parse_int_list, default=None)
-    p_sweep.add_argument("--link", default=None,
-                         choices=["linear", "logistic", "probit", "sign"])
+    p_sweep.add_argument("--link", default=None, choices=links)
     p_sweep.add_argument("--radius-rule", dest="radius_rule", default=None,
-                         choices=["sqrt_s", "two_sqrt_s_over_lambda", "raw_s", "explicit"])
+                         choices=RADIUS_RULES)
     p_sweep.add_argument("--radius", type=float, default=None)
     p_sweep.add_argument("--reps", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)

@@ -4,14 +4,18 @@ The data model is binary single-index: x ~ N(0, I_p) and the conditional
 mean of the +-1 response is E[y|x] = F(x'beta), where F maps the index to
 [-1, 1].  Four built-in links are provided (all odd and nondecreasing), plus
 user-tabulated monotone piecewise-linear links.
+
+The package's only runtime dependency is numpy.  The Gaussian special
+functions the probit link and the tabulated link constant need, erf and
+erfc, come from the standard library's math module, applied entry by entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .errors import InvalidSparsity, LinkRangeError, NonPositiveLambda
 
@@ -66,15 +70,16 @@ LOGISTIC = LinkFunction("logistic")
 PROBIT = LinkFunction("probit")
 SIGN = LinkFunction("sign")
 
-_BUILTIN = {"linear": LINEAR, "logistic": LOGISTIC, "probit": PROBIT, "sign": SIGN}
+BUILTIN_LINKS = {"linear": LINEAR, "logistic": LOGISTIC, "probit": PROBIT, "sign": SIGN}
 
 
 def get_link(name: str) -> LinkFunction:
     """Look up a built-in link by its lowercase name."""
     try:
-        return _BUILTIN[name]
+        return BUILTIN_LINKS[name]
     except KeyError:
-        raise ValueError(f"unknown link {name!r}; expected one of {sorted(_BUILTIN)}") from None
+        raise ValueError(f"unknown link {name!r}; "
+                         f"expected one of {sorted(BUILTIN_LINKS)}") from None
 
 
 def tabulated_link(knots, values) -> LinkFunction:
@@ -82,12 +87,18 @@ def tabulated_link(knots, values) -> LinkFunction:
     return LinkFunction("tabulated", np.asarray(knots, float), np.asarray(values, float))
 
 
+def _map_float(f, x: np.ndarray) -> np.ndarray:
+    """Apply the scalar function f to every entry of the float array x."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def link_mean(link: LinkFunction, t):
     """Evaluate F(t), vectorized over t.
 
     logistic: tanh(t/2), i.e. 2 e^t / (1 + e^t) - 1
-    probit:   2 Phi(t) - 1, computed as erf(t / sqrt(2)) so that the float
-              implementation is exactly odd
+    probit:   2 Phi(t) - 1, computed as math.erf(t / sqrt(2)) entry by
+              entry; math.erf evaluates |x| and then restores the sign, so
+              the float implementation is exactly odd
     sign:     sign(t) with F(0) = 0
     linear:   t
     """
@@ -97,7 +108,7 @@ def link_mean(link: LinkFunction, t):
     elif link.kind == "logistic":
         out = np.tanh(0.5 * t)
     elif link.kind == "probit":
-        out = erf(t / np.sqrt(2.0))
+        out = _map_float(math.erf, t / np.sqrt(2.0))
     elif link.kind == "sign":
         out = np.sign(t)
     else:
@@ -123,8 +134,10 @@ def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
     Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981) in closed form: sign
     jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi); a tabulated link is
     continuous, with slope d_i between knots k_i and k_i+1 and flat beyond
-    the outer knots, giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  The Monte
-    Carlo cross-check is compute_lambda_mc.
+    the outer knots, giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  Phi(k) is
+    computed as erfc(-k/sqrt(2))/2, which keeps full relative precision in
+    the left tail, where 1 + erf(k/sqrt(2)) would cancel.  The Monte Carlo
+    cross-check is compute_lambda_mc.
 
     Raises NonPositiveLambda when the result is <= 0: the estimator theory
     needs lambda > 0, which every monotone nondecreasing odd link satisfies.
@@ -135,7 +148,8 @@ def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
         value = float(np.sqrt(2.0 / np.pi))
     elif link.kind == "tabulated":
         slopes = np.diff(link.values) / np.diff(link.knots)
-        value = float(slopes @ np.diff(ndtr(link.knots)))
+        cdf = 0.5 * _map_float(math.erfc, -link.knots / np.sqrt(2.0))
+        value = float(slopes @ np.diff(cdf))
     else:
         value = _lambda_gauss_hermite(link, budget)
     if value <= 0.0:

@@ -162,6 +162,17 @@ class TestFitCommand:
         assert out == ""
         assert "radius must be finite" in err
 
+    @pytest.mark.parametrize("radius", ["-1", "inf"])
+    def test_negative_or_infinite_radius_is_input_error(self, tmp_path, capsys, radius):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1,0\n0,1\n")
+        labels.write_text("1\n0\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", radius)
+        assert code == 2
+        assert out == ""
+        assert "--radius" in err
+
     def test_underflowing_design_is_domain_error(self, tmp_path):
         # in a subprocess with a timeout: a fit whose step constant starts at
         # 0 would otherwise backtrack forever

@@ -342,7 +342,7 @@ class TestPlaneScoring:
     def test_zero_fit_is_a_failed_record(self, monkeypatch):
         spec = smoke_spec()
 
-        def zero_fit(data, radius, config=None):
+        def zero_fit(data, radius, max_iter=5000):
             zero = np.zeros(data.X.shape[1])
             return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
                              radius=radius, l2_norm=0.0, fp_residual=0.0, lipschitz=1.0,

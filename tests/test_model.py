@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 from scipy.stats import norm
 
 from sixlasso import (
@@ -58,6 +59,11 @@ class TestLinkMean:
     def test_probit_matches_gaussian_cdf(self):
         t = np.linspace(-6, 6, 101)
         np.testing.assert_allclose(link_mean(PROBIT, t), 2.0 * norm.cdf(t) - 1.0, atol=1e-14)
+        # the standard library's erf against scipy's, into both saturated tails
+        t = np.concatenate([np.linspace(-40, 40, 8001),
+                            np.random.default_rng(3).standard_normal(20_000) * 4])
+        np.testing.assert_allclose(link_mean(PROBIT, t), erf(t / np.sqrt(2.0)),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
     def test_odd_symmetry_is_exact(self, link):
