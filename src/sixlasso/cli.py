@@ -28,6 +28,7 @@ from .experiments import (
     SummaryRow,
     TrialRecord,
     run_sweep,
+    signal_seed,
     summarize,
 )
 from .metrics import TrialMetrics
@@ -381,7 +382,9 @@ def cmd_simulate(args) -> int:
     if not 1 <= args.s <= args.p:
         raise InputError(f"need 1 <= s <= p, got s={args.s}, p={args.p}")
     link = get_link(args.link)
-    signal = make_signal(args.p, args.s, seed=args.seed)
+    # the signal has its own stream, as in a sweep: seeding it with the data
+    # seed would repeat its raw normals in the design
+    signal = make_signal(args.p, args.s, seed=signal_seed(args.seed))
     data = generate_dataset(signal, args.n, link, args.seed)
     x_path = f"{args.out}_X.csv"
     y_path = f"{args.out}_y.csv"

@@ -1,14 +1,20 @@
-"""Seeded Monte Carlo harness: sweep grids, per-trial seeds, aggregation.
+"""Seeded Monte Carlo harness: sweep grids, per-cell seeds, aggregation.
 
-Every trial seed derives from the sweep's base seed and the trial's position
-in the canonical enumeration, so records are reproducible bit-for-bit no
-matter how (or whether) trials are parallelized.  That needs BLAS to sum in
-the same order in every process: `import sixlasso` pins BLAS to one thread
-(see the package docstring), and the pool's spawned workers inherit the
-setting.  A value above 1 that the user exported for OPENBLAS_NUM_THREADS
-(or OMP_NUM_THREADS, MKL_NUM_THREADS) is kept, and so are the threads of a
-process that imported numpy before sixlasso; lasso records may then differ
-from a one-thread run in the last digit.
+Every data seed derives from the sweep's base seed and the position of a
+cell (n, rep) in the canonical enumeration, so records are reproducible
+bit-for-bit no matter how (or whether) trials are parallelized.  Every
+estimator of a cell fits the same training set and is scored on the same
+held-out set, so the estimators are compared on paired data.  The pool runs
+a cell's trials in one worker, where generate_dataset's two kept draws let
+them share those sets instead of drawing them again.
+
+Reproducibility needs BLAS to sum in the same order in every process:
+`import sixlasso` pins BLAS to one thread (see the package docstring), and
+the pool's spawned workers inherit the setting.  A value above 1 that the
+user exported for OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
+MKL_NUM_THREADS) is kept, and so are the threads of a process that imported
+numpy before sixlasso; lasso records may then differ from a one-thread run
+in the last digit.
 """
 
 from __future__ import annotations
@@ -72,7 +78,13 @@ class SweepSpec:
     "explicit" with radius_value.  estimators are canonicalized to
     ("lasso", "pv") order so that trial ids do not depend on input order.
     The signal is drawn once per sweep by default; set
-    fresh_signal_per_trial for a new signal every trial.
+    fresh_signal_per_trial for a new signal every cell, which every
+    estimator of the cell shares.
+
+    Data seeds are per cell (n, rep), not per trial: a cell's seed is the
+    trial seed of its first estimator, so a lasso row carries the seed it
+    would have alone, and the cell's other estimators carry the same seed
+    and fit and are scored on the same draws.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -176,6 +188,11 @@ def trial_seed(spec: SweepSpec, trial_id: int) -> int:
     return mix64(spec.base_seed ^ trial_id)
 
 
+def signal_seed(seed: int) -> int:
+    """Seed of the signal that goes with data seed `seed`: its own stream."""
+    return mix64(seed ^ _SIGNAL_TAG)
+
+
 def resolve_lambda(spec: SweepSpec) -> float:
     """Link constant for the sweep's link (quadrature, 64 nodes)."""
     return compute_lambda(get_link(spec.link))
@@ -194,7 +211,7 @@ def resolve_radius(spec: SweepSpec, lam: float | None = None) -> float:
 
 def sweep_signal(spec: SweepSpec) -> TrueSignal:
     """The sweep-level signal (used by every trial unless regeneration is on)."""
-    return make_signal(spec.p, spec.s, spec.signal_mode, mix64(spec.base_seed ^ _SIGNAL_TAG))
+    return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(spec.base_seed))
 
 
 def _failed_metrics(lam: float) -> TrialMetrics:
@@ -219,6 +236,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     cell is (n, rep_index).  signal/radius/lam may be passed in as sweep-level
     precomputations; when omitted they are recomputed from the spec, so the
     result is a pure function of (spec, cell, estimator, max_iter).
+    The data seed is the cell's (see SweepSpec): every estimator of a cell
+    fits the same training set and is scored on the same held-out set.
+    Both come from generate_dataset, whose two kept draws let the cell's
+    second estimator reuse the first one's sets in the same process; they
+    are read-only.
     Domain failures (degenerate fits) become a failed-trial record with
     direction_error pinned at 2; they never abort a sweep.
 
@@ -233,11 +255,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     """
     n, rep = cell
     tid = trial_id_for(spec, n, rep, estimator)
-    seed = trial_seed(spec, tid)
+    seed = trial_seed(spec, trial_id_for(spec, n, rep, spec.estimators[0]))
     lam = resolve_lambda(spec) if lam is None else lam
     radius = resolve_radius(spec, lam) if radius is None else radius
     if spec.fresh_signal_per_trial:
-        signal = make_signal(spec.p, spec.s, spec.signal_mode, mix64(seed ^ _SIGNAL_TAG))
+        signal = make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(seed))
     elif signal is None:
         signal = sweep_signal(spec)
 
@@ -302,6 +324,8 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     k spawned worker processes, whose BLAS runs on one thread).
     Output is always sorted by trial_id and is identical, runtime_ms aside,
     whichever way the trials were scheduled (see the module docstring).
+    The pool takes a cell's trials as one chunk, so they run in one worker
+    and share the cell's draws there.
     max_iter < 1 raises ValueError before any trial runs, even in a sweep
     without lasso.
     """
@@ -320,7 +344,7 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     if workers >= 2:
         ctx = get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            records = list(pool.map(_trial_task, tasks))
+            records = list(pool.map(_trial_task, tasks, chunksize=len(spec.estimators)))
     else:
         records = [_trial_task(t) for t in tasks]
     return sorted(records, key=lambda r: r.trial_id)

@@ -229,6 +229,14 @@ class Dataset:
     seed: int
 
 
+# The last two draws, oldest first, as (signal, n, link, seed, dataset).  A
+# sweep trial draws its cell's training set and then its held-out set, and
+# every estimator of the cell asks for the same two: keeping two lets them
+# share the draws.  An entry holds its signal and link, so neither can be
+# freed and its id reused while the entry is kept.
+_KEPT: list[tuple[TrueSignal, int, LinkFunction, int, Dataset]] = []
+
+
 def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) -> Dataset:
     """Sample a dataset from the single-index model with Gaussian design.
 
@@ -241,11 +249,22 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     X is drawn column-major (the normals fill one feature column after
     another), so that a product with the columns of a sparse iterate's
     support, as in fit_lasso, reads contiguous memory.
+
+    The last two draws are kept.  A call with the same signal and link
+    objects (matched by identity, not by value), n and seed returns the kept
+    Dataset itself.  A miss evicts the oldest kept draw before drawing, so at
+    most two kept draws are alive.  Since a draw may be shared, X and y are
+    read-only.
     """
+    for kept_signal, kept_n, kept_link, kept_seed, kept in _KEPT:
+        if kept_signal is signal and kept_link is link and kept_n == n and kept_seed == seed:
+            return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    del _KEPT[:-1]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((signal.p, n)).T
+    X.flags.writeable = False
     support = signal.support
     t = X[:, support] @ signal.beta[support]
     if link.kind == "linear":
@@ -257,4 +276,7 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
                 f"link {link.kind!r} returned |F| = {np.max(np.abs(f))} > 1"
             )
         y = np.where(rng.random(n) < 0.5 * (1.0 + f), 1.0, -1.0)
-    return Dataset(X=X, y=y, n=n, link_kind=link.kind, seed=seed)
+    y.flags.writeable = False
+    data = Dataset(X=X, y=y, n=n, link_kind=link.kind, seed=seed)
+    _KEPT.append((signal, n, link, seed, data))
+    return data

@@ -18,6 +18,7 @@ from sixlasso.cli import (
     records_csv_text,
     summary_path_for,
 )
+from sixlasso.experiments import signal_seed
 
 SQRT_2_OVER_PI = 0.79788456080286536
 INV_SQRT_PI = 0.56418958354775628
@@ -235,6 +236,22 @@ class TestSimulateCommand:
         assert open(f"{a}_X.csv").read() == open(f"{b}_X.csv").read()
         assert open(f"{a}_y.csv").read() == open(f"{b}_y.csv").read()
         assert open(f"{a}_beta.csv").read() == open(f"{b}_beta.csv").read()
+
+    def test_signal_normals_do_not_reappear_in_the_design(self, tmp_path, capsys):
+        # one seed for both used to repeat the signal's raw normals in
+        # column 0 of X (rows 2 and 3 here); the signal has its own stream
+        prefix = str(tmp_path / "sim")
+        code, _, _ = run_cli(capsys, "simulate", "--p", "6", "--s", "2", "--n", "20",
+                             "--link", "logistic", "--seed", "3", "--out", prefix)
+        assert code == 0
+        X = np.loadtxt(f"{prefix}_X.csv", delimiter=",")
+        rows = np.loadtxt(f"{prefix}_beta.csv", delimiter=",")
+        expected = make_signal(6, 2, seed=signal_seed(3))
+        np.testing.assert_array_equal(rows[:, 0], expected.support)
+        np.testing.assert_array_equal(rows[:, 1], expected.beta[expected.support])
+        runs = np.column_stack([X[:-1, 0], X[1:, 0]])
+        runs /= np.linalg.norm(runs, axis=1, keepdims=True)
+        assert not np.any(np.all(np.abs(runs - rows[:, 1]) <= 1e-12, axis=1))
 
     @pytest.mark.parametrize("s", ["0", "7"])
     def test_sparsity_outside_one_to_p_is_input_error(self, tmp_path, capsys, s):

@@ -15,21 +15,26 @@ from sixlasso import (
     ZeroVector,
     classify_accuracy,
     compute_lambda,
+    direction_error,
     fit_lasso,
     generate_dataset,
     get_link,
     make_signal,
     mix64,
+    norm_gap,
     plane_coordinates,
+    pv_linear_fit,
     run_sweep,
     run_trial,
     summarize,
+    support_metrics,
 )
 from sixlasso.experiments import (
     _PLANE,
     _TEST_TAG,
     _failed_metrics,
     resolve_radius,
+    signal_seed,
     sweep_signal,
     trial_id_for,
     trial_seed,
@@ -238,6 +243,60 @@ class TestRunSweep:
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")
         with pytest.raises(ValueError):
             run_sweep(smoke_spec())
+
+
+def _cell_pairs(records):
+    """(lasso, pv) record pairs of a lasso,pv sweep, one per cell."""
+    pairs = list(zip(records[0::2], records[1::2]))
+    for lasso, pv in pairs:
+        assert (lasso.estimator, pv.estimator) == ("lasso", "pv")
+        assert (lasso.n, lasso.trial_id + 1) == (pv.n, pv.trial_id)
+    return pairs
+
+
+def _pv_metrics(spec, signal, n, seed):
+    """The metrics of pv fitted and scored on the draws of data seed `seed`."""
+    link = get_link(spec.link)
+    beta_hat = pv_linear_fit(generate_dataset(signal, n, link, seed), resolve_radius(spec))
+    prec, rec = support_metrics(beta_hat, signal)
+    test = _plane_test_set(spec.test_n, link, mix64(seed ^ _TEST_TAG))
+    return TrialMetrics(
+        direction_error=direction_error(beta_hat, signal.beta),
+        raw_l2_error=float(np.linalg.norm(beta_hat - signal.beta)),
+        norm_beta_hat=float(np.linalg.norm(beta_hat)),
+        norm_gap=norm_gap(beta_hat, compute_lambda(link)),
+        support_precision=prec,
+        support_recall=rec,
+        test_accuracy=_plane_score(beta_hat, signal.beta, test),
+    )
+
+
+class TestPairedDesign:
+    """Every estimator of a cell (n, rep) fits and is scored on the same data,
+    drawn from the seed of the cell's lasso trial."""
+
+    def test_pv_fits_the_lasso_rows_data(self):
+        spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500)
+        signal = sweep_signal(spec)
+        link = get_link(spec.link)
+        for lasso, pv in _cell_pairs(run_sweep(spec)):
+            assert lasso.seed == trial_seed(spec, lasso.trial_id)
+            assert pv.seed == lasso.seed
+            assert pv.metrics == _pv_metrics(spec, signal, pv.n, pv.seed)
+            fit = fit_lasso(generate_dataset(signal, lasso.n, link, lasso.seed),
+                            resolve_radius(spec))
+            assert lasso.metrics.direction_error == direction_error(fit.beta_hat, signal.beta)
+
+    def test_fresh_signal_cells_share_their_signal(self):
+        spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
+                          fresh_signal_per_trial=True)
+        serial = run_sweep(spec, threads=0)
+        pooled = run_sweep(spec, threads=2)
+        assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
+        for lasso, pv in _cell_pairs(serial):
+            assert pv.seed == lasso.seed
+            signal = make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(lasso.seed))
+            assert pv.metrics == _pv_metrics(spec, signal, pv.n, pv.seed)
 
 
 def _plane_test_set(n, link, seed):

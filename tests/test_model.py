@@ -1,5 +1,9 @@
 """Tests for links, the link constant, signals, and data generation."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -239,3 +243,64 @@ class TestGenerateDataset:
         sig = make_signal(4, 1, "equal", seed=0)
         with pytest.raises(ValueError):
             generate_dataset(sig, 0, LOGISTIC, seed=0)
+
+
+class TestKeptDraws:
+    """generate_dataset keeps its last two draws, read-only, and hands a kept
+    draw back to an identical call."""
+
+    SIG = make_signal(10, 3, "random", seed=6)
+    ARGS = dict(signal=SIG, n=40, link=LOGISTIC, seed=21)
+
+    @staticmethod
+    def _evict():
+        other = make_signal(3, 1, "equal", seed=0)
+        generate_dataset(other, 2, SIGN, seed=0)
+        generate_dataset(other, 3, SIGN, seed=0)
+
+    @pytest.mark.parametrize("link", [LOGISTIC, LINEAR], ids=lambda l: l.kind)
+    def test_writing_to_a_draw_raises(self, link):
+        data = generate_dataset(self.SIG, 40, link, seed=21)
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            data.y[0] = 0.0
+
+    def test_identical_call_returns_the_kept_draw(self):
+        self._evict()
+        first = generate_dataset(**self.ARGS)
+        assert generate_dataset(**self.ARGS) is first
+        # one other draw since: the first is the older of the two kept
+        generate_dataset(**dict(self.ARGS, seed=22))
+        assert generate_dataset(**self.ARGS) is first
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 22},
+        {"n": 41},
+        {"link": PROBIT},
+        # an equal signal in another object: matched by identity, not value
+        {"signal": dataclasses.replace(SIG)},
+    ], ids=["seed", "n", "link", "signal"])
+    def test_changed_call_draws_afresh(self, change):
+        first = generate_dataset(**self.ARGS)
+        args = dict(self.ARGS, **change)
+        fresh = generate_dataset(**args)
+        assert fresh is not first
+        self._evict()
+        cold = generate_dataset(**args)
+        assert cold is not fresh
+        np.testing.assert_array_equal(fresh.X, cold.X)
+        np.testing.assert_array_equal(fresh.y, cold.y)
+
+    def test_two_other_draws_evict_the_first(self):
+        first = generate_dataset(**self.ARGS)
+        X, y = first.X.copy(), first.y.copy()
+        kept = weakref.ref(first)
+        del first
+        generate_dataset(**dict(self.ARGS, seed=22))
+        generate_dataset(**dict(self.ARGS, seed=23))
+        gc.collect()
+        assert kept() is None
+        again = generate_dataset(**self.ARGS)
+        np.testing.assert_array_equal(again.X, X)
+        np.testing.assert_array_equal(again.y, y)
