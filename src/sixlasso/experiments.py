@@ -1,12 +1,13 @@
-"""Seeded Monte Carlo harness: sweep grids, per-cell seeds, aggregation.
+"""Seeded Monte Carlo harness: sweep grids, per-rep seeds, aggregation.
 
-Every data seed derives from the sweep's base seed and the position of a
-cell (n, rep) in the canonical enumeration, so records are reproducible
-bit-for-bit no matter how (or whether) trials are parallelized.  Every
-estimator of a cell fits the same training set and is scored on the same
-held-out set, so the estimators are compared on paired data.  The pool runs
-a cell's trials in one worker, where generate_dataset's two kept draws let
-them share those sets instead of drawing them again.
+Every data seed derives from the sweep's base seed and a repetition index,
+so records are reproducible bit-for-bit no matter how (or whether) trials
+are parallelized.  Each rep draws one nested training set of n_max =
+max(n_grid) rows and one held-out set; cell (n, rep) fits the first n rows,
+so every estimator and every n of a rep sees the same draws (common random
+numbers across estimators and along the n axis).  A rep's cells run n
+descending, and the pool takes a whole rep as one chunk, where
+generate_dataset's two kept draws let every cell reuse the rep's two sets.
 
 Reproducibility needs BLAS to sum in the same order in every process:
 `import sixlasso` pins BLAS to one thread (see the package docstring), and
@@ -78,13 +79,13 @@ class SweepSpec:
     "explicit" with radius_value.  estimators are canonicalized to
     ("lasso", "pv") order so that trial ids do not depend on input order.
     The signal is drawn once per sweep by default; set
-    fresh_signal_per_trial for a new signal every cell, which every
-    estimator of the cell shares.
+    fresh_signal_per_trial for a new signal every rep, which every cell and
+    estimator of the rep shares.
 
-    Data seeds are per cell (n, rep), not per trial: a cell's seed is the
-    trial seed of its first estimator, so a lasso row carries the seed it
-    would have alone, and the cell's other estimators carry the same seed
-    and fit and are scored on the same draws.
+    Data seeds are per rep: rep_seed(spec, rep) seeds one nested draw of
+    max(n_grid) training rows and one held-out set, cell (n, rep) fits and
+    is scored on the first n rows and that set, and every record of the rep
+    carries the rep's seed.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -184,8 +185,14 @@ def trial_id_for(spec: SweepSpec, n: int, rep: int, estimator: str) -> int:
     return (i_n * spec.reps + rep) * len(spec.estimators) + i_e
 
 
-def trial_seed(spec: SweepSpec, trial_id: int) -> int:
-    return mix64(spec.base_seed ^ trial_id)
+def rep_seed(spec: SweepSpec, rep: int) -> int:
+    """Data seed of repetition `rep`, shared by every cell (n, rep).
+
+    The base seed is mixed on its own first: mix64(base_seed ^ rep) would
+    give base b, rep r and base b ^ 1, rep r ^ 1 one seed, so sweeps with
+    neighbouring base seeds would share their data.
+    """
+    return mix64(mix64(spec.base_seed) ^ rep)
 
 
 def signal_seed(seed: int) -> int:
@@ -214,6 +221,14 @@ def sweep_signal(spec: SweepSpec) -> TrueSignal:
     return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(spec.base_seed))
 
 
+def rep_signal(spec: SweepSpec, rep: int) -> TrueSignal:
+    """The signal of repetition `rep`: the sweep signal, or with
+    fresh_signal_per_trial one drawn from the rep's own signal stream."""
+    if spec.fresh_signal_per_trial:
+        return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(rep_seed(spec, rep)))
+    return sweep_signal(spec)
+
+
 def _failed_metrics(lam: float) -> TrialMetrics:
     nan = float("nan")
     return TrialMetrics(
@@ -233,14 +248,15 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
               lam: float | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
-    cell is (n, rep_index).  signal/radius/lam may be passed in as sweep-level
-    precomputations; when omitted they are recomputed from the spec, so the
-    result is a pure function of (spec, cell, estimator, max_iter).
-    The data seed is the cell's (see SweepSpec): every estimator of a cell
-    fits the same training set and is scored on the same held-out set.
-    Both come from generate_dataset, whose two kept draws let the cell's
-    second estimator reuse the first one's sets in the same process; they
-    are read-only.
+    cell is (n, rep_index).  signal (the rep's, rep_signal), radius and lam
+    may be passed in as precomputations; when omitted they are recomputed
+    from the spec, so the result is a pure function of (spec, cell,
+    estimator, max_iter).
+    The data seed is the rep's (see SweepSpec): the trial fits the first n
+    rows of generate_dataset(signal, max(n_grid), link, rep_seed) and is
+    scored on the rep's held-out set.  Every trial of the rep asks for the
+    same two draws, so generate_dataset's two kept draws let them all share
+    one draw each in the same process; the draws are read-only.
     Domain failures (degenerate fits) become a failed-trial record with
     direction_error pinned at 2; they never abort a sweep.
 
@@ -255,16 +271,16 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     """
     n, rep = cell
     tid = trial_id_for(spec, n, rep, estimator)
-    seed = trial_seed(spec, trial_id_for(spec, n, rep, spec.estimators[0]))
+    seed = rep_seed(spec, rep)
     lam = resolve_lambda(spec) if lam is None else lam
     radius = resolve_radius(spec, lam) if radius is None else radius
-    if spec.fresh_signal_per_trial:
-        signal = make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(seed))
-    elif signal is None:
-        signal = sweep_signal(spec)
+    if signal is None:
+        signal = rep_signal(spec, rep)
 
     link = get_link(spec.link)
-    train = generate_dataset(signal, n, link, seed)
+    drawn = generate_dataset(signal, spec.n_grid[-1], link, seed)
+    # the prefix view of the column-major draw: fit_lasso uses it in place
+    train = replace(drawn, X=drawn.X[:n], y=drawn.y[:n], n=n)
     test = generate_dataset(_PLANE, spec.test_n, link, mix64(seed ^ _TEST_TAG))
     if link.kind == "linear":
         # regression mode: score sign agreement against the sign of the response
@@ -324,8 +340,11 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     k spawned worker processes, whose BLAS runs on one thread).
     Output is always sorted by trial_id and is identical, runtime_ms aside,
     whichever way the trials were scheduled (see the module docstring).
-    The pool takes a cell's trials as one chunk, so they run in one worker
-    and share the cell's draws there.
+    Trials run rep by rep, n descending within a rep (the largest fit's
+    temporaries come first, so the smaller ones reuse their memory), and
+    the pool takes a whole rep as one chunk, so a rep's trials run in one
+    worker and share its two draws there; a pool therefore keeps at most
+    `reps` workers busy.
     max_iter < 1 raises ValueError before any trial runs, even in a sweep
     without lasso.
     """
@@ -334,17 +353,21 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     workers = _thread_budget(threads)
     lam = resolve_lambda(spec)
     radius = resolve_radius(spec, lam)
-    signal = None if spec.fresh_signal_per_trial else sweep_signal(spec)
+    if spec.fresh_signal_per_trial:
+        signals = [rep_signal(spec, rep) for rep in range(spec.reps)]
+    else:
+        signals = [sweep_signal(spec)] * spec.reps
     tasks = [
-        (spec, n, rep, est, max_iter, signal, radius, lam)
-        for n in spec.n_grid
+        (spec, n, rep, est, max_iter, signals[rep], radius, lam)
         for rep in range(spec.reps)
+        for n in reversed(spec.n_grid)
         for est in spec.estimators
     ]
     if workers >= 2:
         ctx = get_context("spawn")
+        chunk = len(spec.n_grid) * len(spec.estimators)
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=len(spec.estimators)))
+            records = list(pool.map(_trial_task, tasks, chunksize=chunk))
     else:
         records = [_trial_task(t) for t in tasks]
     return sorted(records, key=lambda r: r.trial_id)

@@ -230,11 +230,16 @@ class Dataset:
 
 
 # The last two draws, oldest first, as (signal, n, link, seed, dataset).  A
-# sweep trial draws its cell's training set and then its held-out set, and
-# every estimator of the cell asks for the same two: keeping two lets them
-# share the draws.  An entry holds its signal and link, so neither can be
-# freed and its id reused while the entry is kept.
+# sweep trial draws its rep's training set and then its held-out set, and
+# every trial of the rep asks for the same two: keeping two lets them share
+# the draws.  An entry holds its link, so the link cannot be freed and its id
+# reused while the entry is kept.
 _KEPT: list[tuple[TrueSignal, int, LinkFunction, int, Dataset]] = []
+
+
+def _same_signal(a: TrueSignal, b: TrueSignal) -> bool:
+    return a is b or (a.p == b.p and np.array_equal(a.support, b.support)
+                      and np.array_equal(a.beta, b.beta))
 
 
 def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) -> Dataset:
@@ -250,14 +255,16 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     another), so that a product with the columns of a sparse iterate's
     support, as in fit_lasso, reads contiguous memory.
 
-    The last two draws are kept.  A call with the same signal and link
-    objects (matched by identity, not by value), n and seed returns the kept
-    Dataset itself.  A miss evicts the oldest kept draw before drawing, so at
-    most two kept draws are alive.  Since a draw may be shared, X and y are
-    read-only.
+    The last two draws are kept.  A call with an equal signal (matched by
+    value: p, support and beta equal, so a signal rebuilt from its seed
+    matches), the same link object (matched by identity), n and seed returns
+    the kept Dataset itself.  A miss evicts the oldest kept draw before
+    drawing, so at most two kept draws are alive.  Since a draw may be
+    shared, X and y are read-only.
     """
     for kept_signal, kept_n, kept_link, kept_seed, kept in _KEPT:
-        if kept_signal is signal and kept_link is link and kept_n == n and kept_seed == seed:
+        if (kept_link is link and kept_n == n and kept_seed == seed
+                and _same_signal(kept_signal, signal)):
             return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -132,10 +132,11 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
     x+ = P(s - grad(s)/L) from s, the extrapolated point
     z = beta + ((t - 1)/t')(beta - beta_prev), whose residual and gradient
     are the same combinations of the last two, so an accepted iteration
-    costs one X @ and one X.T @ product.  X is held column-major, and the
-    X @ product touches only the columns of x+'s support.  L starts at
-    lipschitz_estimate(X), the largest diagonal entry of (2/n)X'X, a lower
-    bound on its top eigenvalue.  Before each iteration's first step it is
+    costs one X @ and one X.T @ product.  X's columns are held contiguous
+    (a row-major X is copied), and the X @ product touches only the
+    columns of x+'s support.  L starts at lipschitz_estimate(X), the
+    largest diagonal entry of (2/n)X'X, a lower bound on its top
+    eigenvalue.  Before each iteration's first step it is
     multiplied by 0.8, and it is doubled, and the step retried from s,
     until the step passes the sufficient-decrease test
     (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact for this quadratic, and
@@ -184,9 +185,13 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    # column-major, so that X[:, S] is a block of contiguous columns; a no-op
-    # for generate_dataset's X, one copy for a row-major one
-    X = np.asfortranarray(data.X, dtype=float)
+    # contiguous columns, so that X[:, S] reads whole columns: a no-op for
+    # generate_dataset's column-major X and for a row prefix of it (a sweep
+    # fits the first n rows of its rep's draw; the products then run with
+    # the draw's row count as leading dimension), one copy for a row-major X
+    X = np.asarray(data.X, dtype=float)
+    if X.strides[0] != X.itemsize:
+        X = np.asfortranarray(X)
     y = np.asarray(data.y, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: seeds, trials, sweeps, aggregation."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -33,11 +34,12 @@ from sixlasso.experiments import (
     _PLANE,
     _TEST_TAG,
     _failed_metrics,
+    rep_seed,
+    rep_signal,
     resolve_radius,
     signal_seed,
     sweep_signal,
     trial_id_for,
-    trial_seed,
 )
 
 
@@ -137,11 +139,24 @@ class TestTrialIdentity:
                for n in spec.n_grid for rep in range(spec.reps) for est in spec.estimators]
         assert ids == list(range(8))
 
-    def test_seed_is_mixed_trial_id(self):
-        spec = smoke_spec()
-        rec = run_trial(spec, (100, 1), "lasso")
-        assert rec.seed == mix64(spec.base_seed ^ rec.trial_id)
-        assert rec.seed == trial_seed(spec, rec.trial_id)
+    def test_seed_is_mixed_rep(self):
+        spec = smoke_spec(estimators=("lasso", "pv"))
+        for n in spec.n_grid:
+            for rep in range(spec.reps):
+                for est in spec.estimators:
+                    rec = run_trial(spec, (n, rep), est)
+                    assert rec.seed == mix64(mix64(spec.base_seed) ^ rep)
+                    assert rec.seed == rep_seed(spec, rep)
+
+    def test_neighbouring_base_seeds_share_no_data_seed(self):
+        # mixing base ^ trial_id alone gave base 8 trial 1 and base 9
+        # trial 0 one seed
+        seeds = {}
+        for base in (8, 9):
+            spec = SweepSpec(p=20, s=3, n_grid=(30, 60), reps=5, base_seed=base, test_n=50)
+            seeds[base] = {rec.seed for rec in run_sweep(spec)}
+        assert len(seeds[8]) == len(seeds[9]) == 5
+        assert not seeds[8] & seeds[9]
 
     def test_out_of_grid_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -254,13 +269,31 @@ def _cell_pairs(records):
     return pairs
 
 
-def _pv_metrics(spec, signal, n, seed):
-    """The metrics of pv fitted and scored on the draws of data seed `seed`."""
+def _rep_of(spec, rec):
+    return rec.trial_id // len(spec.estimators) % spec.reps
+
+
+def _nested_train(spec, signal, n, seed):
+    """The first n rows of the rep's draw of max(n_grid) rows."""
+    full = generate_dataset(signal, spec.n_grid[-1], get_link(spec.link), seed)
+    return Dataset(X=full.X[:n], y=full.y[:n], n=n, link_kind=full.link_kind, seed=seed)
+
+
+def _cell_metrics(spec, signal, n, seed, estimator):
+    """(metrics, (iterations, converged)) of `estimator` fitted on the first n
+    rows of the draw of data seed `seed` and scored on that seed's held-out
+    set."""
     link = get_link(spec.link)
-    beta_hat = pv_linear_fit(generate_dataset(signal, n, link, seed), resolve_radius(spec))
+    train = _nested_train(spec, signal, n, seed)
+    radius = resolve_radius(spec)
+    if estimator == "lasso":
+        fit = fit_lasso(train, radius)
+        beta_hat, diagnostics = fit.beta_hat, (fit.iterations, fit.converged)
+    else:
+        beta_hat, diagnostics = pv_linear_fit(train, radius), (0, True)
     prec, rec = support_metrics(beta_hat, signal)
     test = _plane_test_set(spec.test_n, link, mix64(seed ^ _TEST_TAG))
-    return TrialMetrics(
+    metrics = TrialMetrics(
         direction_error=direction_error(beta_hat, signal.beta),
         raw_l2_error=float(np.linalg.norm(beta_hat - signal.beta)),
         norm_beta_hat=float(np.linalg.norm(beta_hat)),
@@ -269,23 +302,38 @@ def _pv_metrics(spec, signal, n, seed):
         support_recall=rec,
         test_accuracy=_plane_score(beta_hat, signal.beta, test),
     )
+    return metrics, diagnostics
+
+
+def _as_computed(rec):
+    return rec.metrics, (rec.iterations, rec.converged)
 
 
 class TestPairedDesign:
-    """Every estimator of a cell (n, rep) fits and is scored on the same data,
-    drawn from the seed of the cell's lasso trial."""
+    """Every trial of a rep fits a prefix of one nested training draw and is
+    scored on one held-out set, both drawn from the rep's seed."""
 
     def test_pv_fits_the_lasso_rows_data(self):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500)
         signal = sweep_signal(spec)
-        link = get_link(spec.link)
         for lasso, pv in _cell_pairs(run_sweep(spec)):
-            assert lasso.seed == trial_seed(spec, lasso.trial_id)
+            assert lasso.seed == rep_seed(spec, _rep_of(spec, lasso))
             assert pv.seed == lasso.seed
-            assert pv.metrics == _pv_metrics(spec, signal, pv.n, pv.seed)
-            fit = fit_lasso(generate_dataset(signal, lasso.n, link, lasso.seed),
+            assert _as_computed(pv) == _cell_metrics(spec, signal, pv.n, pv.seed, "pv")
+            fit = fit_lasso(_nested_train(spec, signal, lasso.n, lasso.seed),
                             resolve_radius(spec))
             assert lasso.metrics.direction_error == direction_error(fit.beta_hat, signal.beta)
+
+    def test_every_record_fits_the_first_n_rows_of_its_reps_draw(self):
+        spec = smoke_spec(p=60, s=3, n_grid=(40, 70, 100), reps=3,
+                          estimators=("lasso", "pv"), test_n=500)
+        signal = sweep_signal(spec)
+        records = run_sweep(spec)
+        assert len(records) == 18
+        for rec in records:
+            seed = rep_seed(spec, _rep_of(spec, rec))
+            assert rec.seed == seed
+            assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, seed, rec.estimator)
 
     def test_fresh_signal_cells_share_their_signal(self):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
@@ -294,9 +342,32 @@ class TestPairedDesign:
         pooled = run_sweep(spec, threads=2)
         assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
         for lasso, pv in _cell_pairs(serial):
-            assert pv.seed == lasso.seed
+            rep = _rep_of(spec, lasso)
+            assert pv.seed == lasso.seed == rep_seed(spec, rep)
             signal = make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(lasso.seed))
-            assert pv.metrics == _pv_metrics(spec, signal, pv.n, pv.seed)
+            np.testing.assert_array_equal(rep_signal(spec, rep).beta, signal.beta)
+            for rec in (lasso, pv):
+                assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, rec.seed,
+                                                          rec.estimator)
+
+    def test_fresh_signal_sweep_draws_once_per_rep(self, monkeypatch):
+        spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
+                          fresh_signal_per_trial=True, base_seed=31)
+        draws = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] == "sixlasso.model":
+                draws.append(caller.f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_sweep(spec, threads=0)
+        # per rep: one signal, one training draw and one held-out draw
+        assert draws.count("make_signal") == spec.reps
+        assert draws.count("generate_dataset") == 2 * spec.reps
+        assert len(draws) == 3 * spec.reps
 
 
 def _plane_test_set(n, link, seed):
@@ -392,8 +463,8 @@ class TestPlaneScoring:
         for n in spec.n_grid:
             for rep in range(spec.reps):
                 rec = run_trial(spec, (n, rep), "lasso")
-                train = generate_dataset(signal, n, link, rec.seed)
-                fit = fit_lasso(train, resolve_radius(spec))
+                assert rec.seed == rep_seed(spec, rep)
+                fit = fit_lasso(_nested_train(spec, signal, n, rec.seed), resolve_radius(spec))
                 test = _plane_test_set(spec.test_n, link, mix64(rec.seed ^ _TEST_TAG))
                 assert rec.metrics.test_accuracy == _plane_score(fit.beta_hat, signal.beta,
                                                                  test)

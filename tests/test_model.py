@@ -278,8 +278,8 @@ class TestKeptDraws:
         {"seed": 22},
         {"n": 41},
         {"link": PROBIT},
-        # an equal signal in another object: matched by identity, not value
-        {"signal": dataclasses.replace(SIG)},
+        # same p and support, another beta: signals are matched by value
+        {"signal": dataclasses.replace(SIG, beta=-SIG.beta)},
     ], ids=["seed", "n", "link", "signal"])
     def test_changed_call_draws_afresh(self, change):
         first = generate_dataset(**self.ARGS)
@@ -291,6 +291,12 @@ class TestKeptDraws:
         assert cold is not fresh
         np.testing.assert_array_equal(fresh.X, cold.X)
         np.testing.assert_array_equal(fresh.y, cold.y)
+
+    def test_equal_signal_in_another_object_returns_the_kept_draw(self):
+        first = generate_dataset(**self.ARGS)
+        rebuilt = make_signal(10, 3, "random", seed=6)
+        assert rebuilt is not self.SIG
+        assert generate_dataset(**dict(self.ARGS, signal=rebuilt)) is first
 
     def test_two_other_draws_evict_the_first(self):
         first = generate_dataset(**self.ARGS)

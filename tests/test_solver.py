@@ -1,6 +1,8 @@
 """Tests for the l1-ball projection, the FISTA solver (adaptive backtracking,
 restart and exact finish), and the linear baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -224,6 +226,23 @@ class TestFitLasso:
                 assert a.tobytes() == b.tobytes(), name
             else:
                 assert a == b, name
+
+    def test_column_major_prefix_view_is_fitted_in_place(self):
+        # a sweep fits the first n rows of its rep's column-major draw
+        sig = make_signal(1200, 10, "random", seed=9)
+        full = generate_dataset(sig, 3100, LOGISTIC, seed=10)
+        view = _dataset(full.X[:3000], full.y[:3000])
+        assert not view.X.flags.f_contiguous and view.X.strides[0] == view.X.itemsize
+        tracemalloc.start()
+        try:
+            fit = fit_lasso(view, radius=np.sqrt(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak < view.X.nbytes, (peak, view.X.nbytes)
+        copied = fit_lasso(_dataset(np.asfortranarray(view.X), view.y), radius=np.sqrt(10))
+        np.testing.assert_allclose(fit.beta_hat, copied.beta_hat, rtol=0, atol=1e-12)
 
     def test_singular_support(self):
         # two equal columns share the weight, so X_S'X_S is singular; the fit
