@@ -3,7 +3,25 @@
 Owns the on-disk formats: the records/summary CSV schemas, the plain-text
 fit document, and the static SVG error chart.  Real numbers are serialized
 with 17 significant digits so that write -> parse -> write is the identity
-on doubles.  All files are written atomically (temp file + rename).
+on doubles.  All files are written atomically (temp file + rename), with the
+mode a plain open() would give a new file (0o666 less the umask).
+
+The records CSV (`sweep --out`) has a header line and one row per trial,
+sorted by trial_id, with the columns, in order:
+
+    trial_id, seed, estimator, n, p, s, link, radius,
+    direction_error, raw_l2_error, norm_beta_hat, norm_gap,
+    support_precision, support_recall, test_accuracy,
+    iterations, converged, runtime_ms
+
+Reals (radius, the seven metrics, runtime_ms) are written to 17 significant
+digits, and converged is `true` or `false`; parse_records_csv accepts
+nothing else there.  A failed trial (a degenerate fit) has direction_error
+2, raw_l2_error and test_accuracy nan, norm_beta_hat 0, norm_gap -lambda,
+support_precision 1, support_recall 0, iterations 0 and converged false.
+runtime_ms is last because it is the only column that differs between
+reruns of the same sweep, serial or pooled: compare records with it cut
+(`cut -d, -f1-17`), as the determinism tests and the benchmark's gate do.
 
 Exit codes: 0 success, 1 domain error, 2 input error, 3 output error.
 """
@@ -23,6 +41,7 @@ import numpy as np
 
 from .errors import SixLassoError
 from .experiments import (
+    METRIC_FIELDS,
     RADIUS_RULES,
     SweepSpec,
     SummaryRow,
@@ -41,21 +60,12 @@ from .model import (
     get_link,
     make_signal,
 )
-from .solver import fit_lasso
+from .solver import MAX_ITER, fit_lasso
 
-RECORD_COLUMNS = (
-    "trial_id", "seed", "estimator", "n", "p", "s", "link", "radius",
-    "direction_error", "raw_l2_error", "norm_beta_hat", "norm_gap",
-    "support_precision", "support_recall", "test_accuracy",
-    "iterations", "converged", "runtime_ms",
-)
+RECORD_COLUMNS = ("trial_id", "seed", "estimator", "n", "p", "s", "link", "radius",
+                  *METRIC_FIELDS, "iterations", "converged", "runtime_ms")
 
 SUMMARY_COLUMNS = ("estimator", "n", "metric", "q25", "median", "q75")
-
-SWEEP_CONFIG_KEYS = (
-    "p", "s", "n_grid", "link", "radius_rule", "radius", "reps", "seed", "signal_mode",
-    "estimators", "test_n", "fresh_signal", "max_iter", "out", "out_svg",
-)
 
 _COLORS = {"lasso": "#1f77b4", "pv": "#d62728"}
 
@@ -80,6 +90,10 @@ def write_text_atomic(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:
@@ -93,14 +107,10 @@ def write_text_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def record_row(rec: TrialRecord) -> list[str]:
-    m = rec.metrics
     return [
         str(rec.trial_id), str(rec.seed), rec.estimator, str(rec.n), str(rec.p),
         str(rec.s), rec.link, fmt_real(rec.radius),
-        fmt_real(m.direction_error), fmt_real(m.raw_l2_error),
-        fmt_real(m.norm_beta_hat), fmt_real(m.norm_gap),
-        fmt_real(m.support_precision), fmt_real(m.support_recall),
-        fmt_real(m.test_accuracy),
+        *(fmt_real(getattr(rec.metrics, name)) for name in METRIC_FIELDS),
         str(rec.iterations), "true" if rec.converged else "false",
         fmt_real(rec.runtime_ms),
     ]
@@ -118,9 +128,12 @@ def parse_records_csv(text: str) -> list[TrialRecord]:
     if not rows or tuple(rows[0]) != RECORD_COLUMNS:
         raise InputError("records CSV header does not match the schema")
     out = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(RECORD_COLUMNS):
             raise InputError(f"records row has {len(row)} fields, expected {len(RECORD_COLUMNS)}")
+        if row[16] not in ("true", "false"):
+            raise InputError(f"records line {line}, column converged: expected true or "
+                             f"false, got {row[16]!r}")
         metrics = TrialMetrics(*(float(v) for v in row[8:15]))
         out.append(TrialRecord(
             trial_id=int(row[0]), seed=int(row[1]), estimator=row[2], n=int(row[3]),
@@ -283,18 +296,18 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _pick(flags: argparse.Namespace, cfg: dict[str, str], flag_name: str | None,
-          cfg_key: str, convert, default=None, required=False):
-    val = getattr(flags, flag_name, None) if flag_name else None
+def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str, convert,
+          default=None, required=False):
+    val = getattr(flags, key, None)  # None too for a config-only key: it has no flag
     if val is not None:
         return val
-    if cfg_key in cfg:
+    if key in cfg:
         try:
-            return convert(cfg[cfg_key])
+            return convert(cfg[key])
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-            raise InputError(f"config key {cfg_key}: {exc}") from exc
+            raise InputError(f"config key {key}: {exc}") from exc
     if required:
-        raise InputError(f"missing required setting {cfg_key!r} (flag or config)")
+        raise InputError(f"missing required setting {key!r} (flag or config)")
     return default
 
 
@@ -307,6 +320,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes"):
         return True
@@ -315,15 +332,28 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# The sweep settings that make up its SweepSpec: config key -> conversion.
+# The flag of a key, where `sweep` has one, stores under the key's name.
+_SPEC_SETTINGS = {
+    "p": int, "s": int, "n_grid": _parse_int_list, "link": str, "radius_rule": str,
+    "radius": float, "reps": int, "seed": int, "signal_mode": str,
+    "estimators": _parse_names, "test_n": int, "fresh_signal": _parse_bool,
+}
+# the SweepSpec fields named otherwise than their config keys
+_SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed",
+                "fresh_signal": "fresh_signal_per_trial"}
+SWEEP_CONFIG_KEYS = (*_SPEC_SETTINGS, "max_iter", "out", "out_svg")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_lambda(args) -> int:
     link = get_link(args.link)
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.method == "mc":
-        budget = args.budget if args.budget is not None else 1_000_000
-        value, stderr = compute_lambda_mc(link, budget, args.seed)
+        value, stderr = compute_lambda_mc(link, seed=args.seed, **budget)
         if value <= 0:
             print(f"lambda = {fmt_real(value)} <= 0: decreasing or degenerate link",
                   file=sys.stderr)
@@ -331,8 +361,7 @@ def cmd_lambda(args) -> int:
         print(fmt_real(value))
         print(fmt_real(stderr))
     else:
-        budget = args.budget if args.budget is not None else 64
-        value = compute_lambda(link, budget)
+        value = compute_lambda(link, **budget)
         print(fmt_real(value))
     return 0
 
@@ -367,8 +396,7 @@ def cmd_fit(args) -> int:
         raise InputError(f"design has {X.shape[0]} rows but labels file has {y.shape[0]} values")
     if not 0 <= args.radius < np.inf:
         raise InputError(f"--radius must be finite and >= 0, got {args.radius}")
-    data = Dataset(X=X, y=y, n=X.shape[0], link_kind="file", seed=0)
-    result = fit_lasso(data, args.radius, args.max_iter)
+    result = fit_lasso(Dataset(X=X, y=y), args.radius, args.max_iter)
     text = fit_document_text(result)
     if args.out:
         write_text_atomic(args.out, text)
@@ -401,33 +429,20 @@ def cmd_simulate(args) -> int:
 
 def _sweep_spec_from(args) -> tuple[SweepSpec, int, str, str]:
     cfg = load_config(args.config) if args.config else {}
-    n_grid = _pick(args, cfg, "n_grid", "n_grid", _parse_int_list, required=True)
-    spec = SweepSpec(
-        p=_pick(args, cfg, "p", "p", int, required=True),
-        s=_pick(args, cfg, "s", "s", int, required=True),
-        n_grid=n_grid,
-        link=_pick(args, cfg, "link", "link", str, default="logistic"),
-        radius_rule=_pick(args, cfg, "radius_rule", "radius_rule", str, default="sqrt_s"),
-        radius_value=_pick(args, cfg, "radius", "radius", float),
-        reps=_pick(args, cfg, "reps", "reps", int, default=10),
-        base_seed=_pick(args, cfg, "seed", "seed", int, default=0),
-        signal_mode=_pick(args, cfg, None, "signal_mode", str, default="random"),
-        estimators=_pick(args, cfg, "estimators", "estimators",
-                         lambda s: tuple(s.split(",")), default=("lasso",)),
-        test_n=_pick(args, cfg, None, "test_n", int, default=10_000),
-        fresh_signal_per_trial=_pick(args, cfg, None, "fresh_signal", _parse_bool,
-                                     default=False),
-    )
-    max_iter = _pick(args, cfg, "max_iter", "max_iter", int, default=5000)
-    out = _pick(args, cfg, "out", "out", str, required=True)
-    default_svg = (out[:-4] if out.endswith(".csv") else out) + ".svg"
-    out_svg = _pick(args, cfg, "out_svg", "out_svg", str, default=default_svg)
+    given = {}
+    for key, convert in _SPEC_SETTINGS.items():
+        value = _pick(args, cfg, key, convert, required=key in ("p", "s", "n_grid"))
+        if value is not None:
+            given[_SPEC_FIELDS.get(key, key)] = value
+    spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
+    max_iter = _pick(args, cfg, "max_iter", int, default=MAX_ITER)
+    out = _pick(args, cfg, "out", str, required=True)
+    out_svg = _pick(args, cfg, "out_svg", str, default=out.removesuffix(".csv") + ".svg")
     return spec, max_iter, out, out_svg
 
 
 def summary_path_for(records_path: str) -> str:
-    stem = records_path[:-4] if records_path.endswith(".csv") else records_path
-    return stem + "_summary.csv"
+    return records_path.removesuffix(".csv") + "_summary.csv"
 
 
 def cmd_sweep(args) -> int:
@@ -479,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("design", help="CSV with n rows of p numeric features")
     p_fit.add_argument("labels", help="CSV with n response values")
     p_fit.add_argument("--radius", type=float, required=True)
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
+    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=MAX_ITER)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -504,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--radius", type=float, default=None)
     p_sweep.add_argument("--reps", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=None)
+    p_sweep.add_argument("--estimators", type=_parse_names, default=None)
     p_sweep.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--out-svg", dest="out_svg", default=None)

@@ -6,7 +6,7 @@ are parallelized.  Each rep draws one nested training set of n_max =
 max(n_grid) rows and one held-out set; cell (n, rep) fits the first n rows,
 so every estimator and every n of a rep sees the same draws (common random
 numbers across estimators and along the n axis).  A rep's cells run n
-descending, and the pool takes a whole rep as one chunk, where
+descending, and the pool takes a whole rep as one task, where
 generate_dataset's two kept draws let every cell reuse the rep's two sets.
 
 Reproducibility needs BLAS to sum in the same order in every process:
@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -39,13 +40,14 @@ from .metrics import (
 )
 from .model import (
     RANDOM_MAGNITUDE,
+    Dataset,
     TrueSignal,
     compute_lambda,
     generate_dataset,
     get_link,
     make_signal,
 )
-from .solver import fit_lasso, pv_linear_fit
+from .solver import MAX_ITER, fit_lasso, pv_linear_fit
 
 THREADS_ENV = "SIXLASSO_THREADS"
 
@@ -59,7 +61,7 @@ _SIGNAL_TAG = 0x7369676E616C  # ascii "signal": separates the signal stream
 
 # The held-out set lives in the plane of beta* and beta_hat: its first axis
 # is beta*/||beta*||, its second the unit vector along the rest of beta_hat.
-_PLANE = TrueSignal(beta=np.array([1.0, 0.0]), p=2, s=1, support=np.array([0]))
+_PLANE = TrueSignal(beta=np.array([1.0, 0.0]), support=np.array([0]))
 
 
 def mix64(x: int) -> int:
@@ -81,11 +83,6 @@ class SweepSpec:
     The signal is drawn once per sweep by default; set
     fresh_signal_per_trial for a new signal every rep, which every cell and
     estimator of the rep shares.
-
-    Data seeds are per rep: rep_seed(spec, rep) seeds one nested draw of
-    max(n_grid) training rows and one held-out set, cell (n, rep) fits and
-    is scored on the first n rows and that set, and every record of the rep
-    carries the rep's seed.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -243,7 +240,7 @@ def _failed_metrics(lam: float) -> TrialMetrics:
 
 
 def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              max_iter: int = 5000, *,
+              max_iter: int = MAX_ITER, *,
               signal: TrueSignal | None = None, radius: float | None = None,
               lam: float | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
@@ -252,11 +249,9 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     may be passed in as precomputations; when omitted they are recomputed
     from the spec, so the result is a pure function of (spec, cell,
     estimator, max_iter).
-    The data seed is the rep's (see SweepSpec): the trial fits the first n
-    rows of generate_dataset(signal, max(n_grid), link, rep_seed) and is
-    scored on the rep's held-out set.  Every trial of the rep asks for the
-    same two draws, so generate_dataset's two kept draws let them all share
-    one draw each in the same process; the draws are read-only.
+    The trial fits the first n rows of its rep's draw, seeded by
+    rep_seed(spec, rep), and is scored on the rep's held-out set (see the
+    module docstring); the draws are read-only.
     Domain failures (degenerate fits) become a failed-trial record with
     direction_error pinned at 2; they never abort a sweep.
 
@@ -280,11 +275,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     link = get_link(spec.link)
     drawn = generate_dataset(signal, spec.n_grid[-1], link, seed)
     # the prefix view of the column-major draw: fit_lasso uses it in place
-    train = replace(drawn, X=drawn.X[:n], y=drawn.y[:n], n=n)
+    train = Dataset(drawn.X[:n], drawn.y[:n])
     test = generate_dataset(_PLANE, spec.test_n, link, mix64(seed ^ _TEST_TAG))
     if link.kind == "linear":
         # regression mode: score sign agreement against the sign of the response
-        test = replace(test, y=np.where(test.y >= 0, 1.0, -1.0))
+        test = Dataset(test.X, np.where(test.y >= 0, 1.0, -1.0))
 
     t0 = time.perf_counter()
     try:
@@ -316,10 +311,12 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _trial_task(args):
-    spec, n, rep, estimator, max_iter, signal, radius, lam = args
-    return run_trial(spec, (n, rep), estimator, max_iter,
-                     signal=signal, radius=radius, lam=lam)
+def _run_rep(spec: SweepSpec, rep: int, max_iter: int, radius: float,
+             lam: float) -> list[TrialRecord]:
+    """Every trial of repetition `rep`, n descending: one pool task."""
+    signal = rep_signal(spec, rep)
+    return [run_trial(spec, (n, rep), est, max_iter, signal=signal, radius=radius, lam=lam)
+            for n in reversed(spec.n_grid) for est in spec.estimators]
 
 
 def _thread_budget(threads: int | None) -> int:
@@ -332,7 +329,7 @@ def _thread_budget(threads: int | None) -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def run_sweep(spec: SweepSpec, max_iter: int = 5000,
+def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER,
               threads: int | None = None) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
@@ -342,9 +339,9 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
     whichever way the trials were scheduled (see the module docstring).
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
-    the pool takes a whole rep as one chunk, so a rep's trials run in one
-    worker and share its two draws there; a pool therefore keeps at most
-    `reps` workers busy.
+    each rep is one pool task, so a rep's trials run in one worker and
+    share its two draws there; a pool therefore keeps at most `reps`
+    workers busy.
     max_iter < 1 raises ValueError before any trial runs, even in a sweep
     without lasso.
     """
@@ -352,36 +349,17 @@ def run_sweep(spec: SweepSpec, max_iter: int = 5000,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     workers = _thread_budget(threads)
     lam = resolve_lambda(spec)
-    radius = resolve_radius(spec, lam)
-    if spec.fresh_signal_per_trial:
-        signals = [rep_signal(spec, rep) for rep in range(spec.reps)]
-    else:
-        signals = [sweep_signal(spec)] * spec.reps
-    tasks = [
-        (spec, n, rep, est, max_iter, signals[rep], radius, lam)
-        for rep in range(spec.reps)
-        for n in reversed(spec.n_grid)
-        for est in spec.estimators
-    ]
+    task = partial(_run_rep, spec, max_iter=max_iter, radius=resolve_radius(spec, lam),
+                   lam=lam)
     if workers >= 2:
-        ctx = get_context("spawn")
-        chunk = len(spec.n_grid) * len(spec.estimators)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            per_rep = list(pool.map(task, range(spec.reps)))
     else:
-        records = [_trial_task(t) for t in tasks]
-    return sorted(records, key=lambda r: r.trial_id)
+        per_rep = map(task, range(spec.reps))
+    return sorted((rec for records in per_rep for rec in records), key=lambda r: r.trial_id)
 
 
-METRIC_FIELDS = (
-    "direction_error",
-    "raw_l2_error",
-    "norm_beta_hat",
-    "norm_gap",
-    "support_precision",
-    "support_recall",
-    "test_accuracy",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(TrialMetrics))
 
 
 def summarize(records: list[TrialRecord]) -> list[SummaryRow]:

@@ -185,9 +185,15 @@ class TrueSignal:
     """
 
     beta: np.ndarray
-    p: int
-    s: int
     support: np.ndarray
+
+    @property
+    def p(self) -> int:
+        return self.beta.size
+
+    @property
+    def s(self) -> int:
+        return self.support.size
 
 
 def make_signal(p: int, s: int, mode: str = RANDOM_MAGNITUDE, seed: int = 0) -> TrueSignal:
@@ -211,7 +217,7 @@ def make_signal(p: int, s: int, mode: str = RANDOM_MAGNITUDE, seed: int = 0) -> 
         beta[support] = vals / np.linalg.norm(vals)
     else:
         raise ValueError(f"unknown signal mode {mode!r}; expected 'equal' or 'random'")
-    return TrueSignal(beta=beta, p=p, s=s, support=support)
+    return TrueSignal(beta=beta, support=support)
 
 
 @dataclass(frozen=True)
@@ -219,14 +225,14 @@ class Dataset:
     """Design matrix X (n rows of p features) plus response vector y.
 
     y is +-1 for binary links and real-valued in the linear regression mode.
-    link_kind and seed record provenance only.
     """
 
     X: np.ndarray
     y: np.ndarray
-    n: int
-    link_kind: str
-    seed: int
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
 
 
 # The last two draws, oldest first, as (signal, n, link, seed, dataset).  A
@@ -238,8 +244,7 @@ _KEPT: list[tuple[TrueSignal, int, LinkFunction, int, Dataset]] = []
 
 
 def _same_signal(a: TrueSignal, b: TrueSignal) -> bool:
-    return a is b or (a.p == b.p and np.array_equal(a.support, b.support)
-                      and np.array_equal(a.beta, b.beta))
+    return a is b or (np.array_equal(a.support, b.support) and np.array_equal(a.beta, b.beta))
 
 
 def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) -> Dataset:
@@ -284,6 +289,6 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
             )
         y = np.where(rng.random(n) < 0.5 * (1.0 + f), 1.0, -1.0)
     y.flags.writeable = False
-    data = Dataset(X=X, y=y, n=n, link_kind=link.kind, seed=seed)
+    data = Dataset(X=X, y=y)
     _KEPT.append((signal, n, link, seed, data))
     return data

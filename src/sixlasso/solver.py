@@ -24,6 +24,7 @@ import numpy as np
 from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
+MAX_ITER = 5000  # default iteration cap of fit_lasso, run_trial, run_sweep and the CLI
 _CERT_TOL = 1e-6
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
@@ -125,7 +126,7 @@ def _normal_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(C.T, np.linalg.solve(C, B))
 
 
-def fit_lasso(data: Dataset, radius: float, max_iter: int = 5000) -> FitResult:
+def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
     FISTA from beta = 0.  Each iteration takes the projected step

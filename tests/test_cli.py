@@ -1,6 +1,8 @@
 """Tests for the command-line interface and on-disk formats."""
 
 import os
+import re
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,13 +14,16 @@ import pytest
 import sixlasso
 from sixlasso import compute_lambda, get_link, make_signal
 from sixlasso.cli import (
+    InputError,
     fmt_real,
     main,
     parse_records_csv,
     records_csv_text,
     summary_path_for,
+    write_text_atomic,
 )
-from sixlasso.experiments import signal_seed
+from sixlasso.experiments import TrialRecord, _failed_metrics, signal_seed
+from sixlasso.metrics import TrialMetrics
 
 SQRT_2_OVER_PI = 0.79788456080286536
 INV_SQRT_PI = 0.56418958354775628
@@ -28,6 +33,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+FITTED = TrialMetrics(0.1, 0.6, 0.5, 0.0, 0.5, 1.0, 0.75)
+
+
+def _record(trial_id, metrics, converged):
+    return TrialRecord(trial_id=trial_id, seed=12345, n=50, p=10, s=2, link="logistic",
+                       estimator="lasso", radius=2 ** 0.5, metrics=metrics, iterations=0,
+                       converged=converged, runtime_ms=1.25)
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -300,7 +314,10 @@ class TestSweepCommand:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 4 trials
-        assert lines[0].startswith("trial_id,seed,estimator,n,p,s,link,radius,direction_error")
+        assert lines[0] == ("trial_id,seed,estimator,n,p,s,link,radius,"
+                            "direction_error,raw_l2_error,norm_beta_hat,norm_gap,"
+                            "support_precision,support_recall,test_accuracy,"
+                            "iterations,converged,runtime_ms")
         summary = summary_path_for(str(out))
         assert os.path.exists(summary)
         tree = ET.parse(svg)  # well-formed XML
@@ -453,6 +470,19 @@ class TestSweepCommand:
         text = out.read_text()
         assert records_csv_text(parse_records_csv(text)) == text
 
+    def test_failed_trial_record_round_trip(self):
+        text = records_csv_text([_record(3, _failed_metrics(0.5), False), _record(4, FITTED, True)])
+        row = text.split("\n")[1].split(",")
+        assert row[8:17] == ["2", "nan", "0", "-0.5", "1", "0", "nan", "0", "false"]
+        assert records_csv_text(parse_records_csv(text)) == text
+
+    @pytest.mark.parametrize("cell", ["True", "FALSE", "ture", "1", ""])
+    def test_converged_other_than_true_or_false_is_input_error(self, cell):
+        text = records_csv_text([_record(4, FITTED, True)]).replace(",true,", f",{cell},")
+        with pytest.raises(InputError, match="line 2, column converged: expected true or "
+                                             "false, got " + re.escape(repr(cell))):
+            parse_records_csv(text)
+
     def test_svg_geometry_deterministic(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)
@@ -464,3 +494,27 @@ class TestSweepCommand:
                     "--out", str(out), "--out-svg", str(svg))
             svgs.append(svg.read_text())
         assert svgs[0] == svgs[1]
+
+
+class TestWriteTextAtomic:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_new_and_overwritten_files_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        fresh = tmp_path / "fresh.csv"
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        os.chmod(old, 0o640)
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(str(fresh), "a\n")
+            write_text_atomic(str(old), "b\n")
+            plain = tmp_path / "plain.csv"
+            with open(plain, "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(plain.stat().st_mode) == mode
+        for path, text in ((fresh, "a\n"), (old, "b\n")):
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+            assert path.read_text() == text
+        assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "old.csv", "plain.csv"]

@@ -276,7 +276,7 @@ def _rep_of(spec, rec):
 def _nested_train(spec, signal, n, seed):
     """The first n rows of the rep's draw of max(n_grid) rows."""
     full = generate_dataset(signal, spec.n_grid[-1], get_link(spec.link), seed)
-    return Dataset(X=full.X[:n], y=full.y[:n], n=n, link_kind=full.link_kind, seed=seed)
+    return Dataset(X=full.X[:n], y=full.y[:n])
 
 
 def _cell_metrics(spec, signal, n, seed, estimator):
@@ -418,8 +418,7 @@ class TestPlaneScoring:
                 v = (beta_hat - a * u) / c
             else:  # beta_hat on the beta* axis: any unit v orthogonal to u
                 v = _at_correlation(u, 0.0, rng)
-            embedded = Dataset(X=plane.X @ np.vstack([u, v]), y=plane.y, n=plane.n,
-                               link_kind=name, seed=0)
+            embedded = Dataset(X=plane.X @ np.vstack([u, v]), y=plane.y)
             assert classify_accuracy(beta_hat, embedded) == _plane_score(beta_hat, u, plane)
 
     @pytest.mark.parametrize("name", ["sign", "linear", "probit"])

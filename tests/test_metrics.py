@@ -26,7 +26,7 @@ unit_scales = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 def _signal(beta):
     beta = np.asarray(beta, float)
     support = np.nonzero(beta)[0]
-    return TrueSignal(beta=beta, p=beta.size, s=support.size, support=support)
+    return TrueSignal(beta=beta, support=support)
 
 
 class TestDirectionError:
@@ -143,8 +143,7 @@ class TestClassifyAccuracy:
             assert classify_accuracy(c * beta_hat, test) == base
 
     def test_sign_zero_counts_as_plus(self):
-        data = Dataset(X=np.array([[0.0], [1.0]]), y=np.array([1.0, 1.0]),
-                       n=2, link_kind="file", seed=0)
+        data = Dataset(X=np.array([[0.0], [1.0]]), y=np.array([1.0, 1.0]))
         assert classify_accuracy(np.array([1.0]), data) == 1.0
 
     def test_zero_vector(self):
@@ -154,6 +153,6 @@ class TestClassifyAccuracy:
             classify_accuracy(np.zeros(4), test)
 
     def test_rejects_non_binary_labels(self):
-        data = Dataset(X=np.eye(2), y=np.array([0.5, 1.0]), n=2, link_kind="file", seed=0)
+        data = Dataset(X=np.eye(2), y=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             classify_accuracy(np.ones(2), data)

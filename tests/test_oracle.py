@@ -25,7 +25,7 @@ from sixlasso import (
 
 def _dataset(X, y):
     X = np.asarray(X, float)
-    return Dataset(X=X, y=np.asarray(y, float), n=X.shape[0], link_kind="file", seed=0)
+    return Dataset(X=X, y=np.asarray(y, float))
 
 
 class TestGridSpec:

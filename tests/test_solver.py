@@ -123,7 +123,7 @@ class TestLipschitzEstimate:
 
 
 def _dataset(X, y):
-    return Dataset(X=X, y=np.asarray(y, float), n=X.shape[0], link_kind="file", seed=0)
+    return Dataset(X=X, y=np.asarray(y, float))
 
 
 class TestFitLasso:
