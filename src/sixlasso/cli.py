@@ -23,6 +23,12 @@ runtime_ms is last because it is the only column that differs between
 reruns of the same sweep, serial or pooled: compare records with it cut
 (`cut -d, -f1-17`), as the determinism tests and the benchmark's gate do.
 
+Environment: SIXLASSO_THREADS sizes the sweep's worker pool.  k >= 2 runs
+the reps in k spawned processes; unset or an integer below 2 runs serially;
+a value that is not an integer is an input error.  Importing sixlasso sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they
+are unset.
+
 Exit codes: 0 success, 1 domain error, 2 input error, 3 output error.
 """
 
@@ -41,6 +47,7 @@ import numpy as np
 
 from .errors import SixLassoError
 from .experiments import (
+    ESTIMATORS,
     METRIC_FIELDS,
     RADIUS_RULES,
     SweepSpec,
@@ -62,8 +69,24 @@ from .model import (
 )
 from .solver import MAX_ITER, fit_lasso
 
-RECORD_COLUMNS = ("trial_id", "seed", "estimator", "n", "p", "s", "link", "radius",
-                  *METRIC_FIELDS, "iterations", "converged", "runtime_ms")
+
+def _one_of(values: dict) -> tuple:
+    """Parser of a column whose cells are the keys of `values`, and its wording."""
+    *rest, last = values
+    return values.__getitem__, f"{', '.join(rest)} or {last}"
+
+
+_INT = (int, "an integer")
+_REAL = (float, "a real number")
+# records column -> (parser, what its cells must be), in column order; a
+# parser raises ValueError or KeyError on a malformed cell
+_RECORD_CELLS = {
+    "trial_id": _INT, "seed": _INT, "estimator": _one_of({e: e for e in ESTIMATORS}),
+    "n": _INT, "p": _INT, "s": _INT, "link": _one_of({k: k for k in BUILTIN_LINKS}),
+    "radius": _REAL, **dict.fromkeys(METRIC_FIELDS, _REAL), "iterations": _INT,
+    "converged": _one_of({"true": True, "false": False}), "runtime_ms": _REAL,
+}
+RECORD_COLUMNS = tuple(_RECORD_CELLS)
 
 SUMMARY_COLUMNS = ("estimator", "n", "metric", "q25", "median", "q75")
 
@@ -123,24 +146,28 @@ def records_csv_text(records: list[TrialRecord]) -> str:
 
 
 def parse_records_csv(text: str) -> list[TrialRecord]:
-    """Inverse of records_csv_text (exact for every written file)."""
+    """Inverse of records_csv_text (exact for every written file).
+
+    A row of the wrong width, or a cell its column's parser rejects, is an
+    InputError naming the line (and the column).
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != RECORD_COLUMNS:
         raise InputError("records CSV header does not match the schema")
     out = []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(RECORD_COLUMNS):
-            raise InputError(f"records row has {len(row)} fields, expected {len(RECORD_COLUMNS)}")
-        if row[16] not in ("true", "false"):
-            raise InputError(f"records line {line}, column converged: expected true or "
-                             f"false, got {row[16]!r}")
-        metrics = TrialMetrics(*(float(v) for v in row[8:15]))
-        out.append(TrialRecord(
-            trial_id=int(row[0]), seed=int(row[1]), estimator=row[2], n=int(row[3]),
-            p=int(row[4]), s=int(row[5]), link=row[6], radius=float(row[7]),
-            metrics=metrics, iterations=int(row[15]), converged=row[16] == "true",
-            runtime_ms=float(row[17]),
-        ))
+            raise InputError(f"records line {line} has {len(row)} fields, "
+                             f"expected {len(RECORD_COLUMNS)}")
+        cells = {}
+        for (name, (parse, expected)), cell in zip(_RECORD_CELLS.items(), row):
+            try:
+                cells[name] = parse(cell)
+            except (ValueError, KeyError):
+                raise InputError(f"records line {line}, column {name}: expected "
+                                 f"{expected}, got {cell!r}") from None
+        metrics = TrialMetrics(*(cells.pop(name) for name in METRIC_FIELDS))
+        out.append(TrialRecord(metrics=metrics, **cells))
     return out
 
 
@@ -296,12 +323,13 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str, convert,
+def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str,
           default=None, required=False):
     val = getattr(flags, key, None)  # None too for a config-only key: it has no flag
     if val is not None:
         return val
     if key in cfg:
+        convert, _ = _SWEEP_SETTINGS[key]
         try:
             return convert(cfg[key])
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
@@ -332,17 +360,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# The sweep settings that make up its SweepSpec: config key -> conversion.
-# The flag of a key, where `sweep` has one, stores under the key's name.
+# The sweep settings that make up its SweepSpec: config key -> (conversion,
+# the choices its flag offers).  Every key but the config-only ones has a
+# `sweep` flag, --key with _ as -, which stores under the key's name.
 _SPEC_SETTINGS = {
-    "p": int, "s": int, "n_grid": _parse_int_list, "link": str, "radius_rule": str,
-    "radius": float, "reps": int, "seed": int, "signal_mode": str,
-    "estimators": _parse_names, "test_n": int, "fresh_signal": _parse_bool,
+    "p": (int, None), "s": (int, None), "n_grid": (_parse_int_list, None),
+    "link": (str, tuple(BUILTIN_LINKS)), "radius_rule": (str, RADIUS_RULES),
+    "radius": (float, None), "reps": (int, None), "seed": (int, None),
+    "signal_mode": (str, None), "estimators": (_parse_names, None),
+    "test_n": (int, None), "fresh_signal": (_parse_bool, None),
 }
+_CONFIG_ONLY = ("signal_mode", "test_n", "fresh_signal")
 # the SweepSpec fields named otherwise than their config keys
 _SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed",
                 "fresh_signal": "fresh_signal_per_trial"}
-SWEEP_CONFIG_KEYS = (*_SPEC_SETTINGS, "max_iter", "out", "out_svg")
+_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "max_iter": (int, None), "out": (str, None),
+                   "out_svg": (str, None)}
+SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +464,14 @@ def cmd_simulate(args) -> int:
 def _sweep_spec_from(args) -> tuple[SweepSpec, int, str, str]:
     cfg = load_config(args.config) if args.config else {}
     given = {}
-    for key, convert in _SPEC_SETTINGS.items():
-        value = _pick(args, cfg, key, convert, required=key in ("p", "s", "n_grid"))
+    for key in _SPEC_SETTINGS:
+        value = _pick(args, cfg, key, required=key in ("p", "s", "n_grid"))
         if value is not None:
             given[_SPEC_FIELDS.get(key, key)] = value
     spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
-    max_iter = _pick(args, cfg, "max_iter", int, default=MAX_ITER)
-    out = _pick(args, cfg, "out", str, required=True)
-    out_svg = _pick(args, cfg, "out_svg", str, default=out.removesuffix(".csv") + ".svg")
+    max_iter = _pick(args, cfg, "max_iter", default=MAX_ITER)
+    out = _pick(args, cfg, "out", required=True)
+    out_svg = _pick(args, cfg, "out_svg", default=out.removesuffix(".csv") + ".svg")
     return spec, max_iter, out, out_svg
 
 
@@ -446,10 +480,7 @@ def summary_path_for(records_path: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec, max_iter, out, out_svg = _sweep_spec_from(args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    spec, max_iter, out, out_svg = _sweep_spec_from(args)
     summary_path = summary_path_for(out)
     named = (("records", out), ("summary", summary_path), ("SVG", out_svg))
     for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
@@ -484,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda.add_argument("--link", required=True, choices=links)
     p_lambda.add_argument("--method", default="quadrature", choices=["quadrature", "mc"])
     p_lambda.add_argument("--budget", type=int, default=None,
-                          help="Gauss-Hermite nodes for the smooth links (default 64, "
-                               "at least 32; sign is exact); samples for --method mc "
-                               "(default 1000000, at least 10000)")
+                          help="Gauss-Hermite nodes for the logistic link (default 64, "
+                               "at least 32; the other links are exact); samples for "
+                               "--method mc (default 1000000, at least 10000)")
     p_lambda.add_argument("--seed", type=int, default=0)
     p_lambda.set_defaults(func=cmd_lambda)
 
@@ -510,19 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep and write CSV + SVG")
     p_sweep.add_argument("--config", default=None, help="flat key=value config file")
-    p_sweep.add_argument("--p", type=int, default=None)
-    p_sweep.add_argument("--s", type=int, default=None)
-    p_sweep.add_argument("--n-grid", dest="n_grid", type=_parse_int_list, default=None)
-    p_sweep.add_argument("--link", default=None, choices=links)
-    p_sweep.add_argument("--radius-rule", dest="radius_rule", default=None,
-                         choices=RADIUS_RULES)
-    p_sweep.add_argument("--radius", type=float, default=None)
-    p_sweep.add_argument("--reps", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--estimators", type=_parse_names, default=None)
-    p_sweep.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--out-svg", dest="out_svg", default=None)
+    for key, (convert, choices) in _SWEEP_SETTINGS.items():
+        if key not in _CONFIG_ONLY:
+            p_sweep.add_argument("--" + key.replace("_", "-"), dest=key, type=convert,
+                                 choices=choices, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

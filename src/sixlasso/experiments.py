@@ -198,19 +198,18 @@ def signal_seed(seed: int) -> int:
 
 
 def resolve_lambda(spec: SweepSpec) -> float:
-    """Link constant for the sweep's link (quadrature, 64 nodes)."""
+    """Link constant for the sweep's link (compute_lambda's default budget)."""
     return compute_lambda(get_link(spec.link))
 
 
-def resolve_radius(spec: SweepSpec, lam: float | None = None) -> float:
+def resolve_radius(spec: SweepSpec) -> float:
     if spec.radius_rule == "sqrt_s":
         return float(np.sqrt(spec.s))
     if spec.radius_rule == "raw_s":
         return float(spec.s)
     if spec.radius_rule == "explicit":
         return float(spec.radius_value)
-    lam = resolve_lambda(spec) if lam is None else lam
-    return float(2.0 * np.sqrt(spec.s) / lam)
+    return float(2.0 * np.sqrt(spec.s) / resolve_lambda(spec))
 
 
 def sweep_signal(spec: SweepSpec) -> TrueSignal:
@@ -240,15 +239,13 @@ def _failed_metrics(lam: float) -> TrialMetrics:
 
 
 def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              max_iter: int = MAX_ITER, *,
-              signal: TrueSignal | None = None, radius: float | None = None,
-              lam: float | None = None) -> TrialRecord:
+              max_iter: int = MAX_ITER, *, signal: TrueSignal | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
-    cell is (n, rep_index).  signal (the rep's, rep_signal), radius and lam
-    may be passed in as precomputations; when omitted they are recomputed
-    from the spec, so the result is a pure function of (spec, cell,
-    estimator, max_iter).
+    cell is (n, rep_index).  signal (the rep's, rep_signal) may be passed in
+    so that the trials of a rep share one signal object, and with it their
+    kept draws; when omitted it is rebuilt from the spec, so the result is a
+    pure function of (spec, cell, estimator, max_iter).
     The trial fits the first n rows of its rep's draw, seeded by
     rep_seed(spec, rep), and is scored on the rep's held-out set (see the
     module docstring); the draws are read-only.
@@ -267,8 +264,8 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     n, rep = cell
     tid = trial_id_for(spec, n, rep, estimator)
     seed = rep_seed(spec, rep)
-    lam = resolve_lambda(spec) if lam is None else lam
-    radius = resolve_radius(spec, lam) if radius is None else radius
+    lam = resolve_lambda(spec)
+    radius = resolve_radius(spec)
     if signal is None:
         signal = rep_signal(spec, rep)
 
@@ -311,17 +308,14 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _run_rep(spec: SweepSpec, rep: int, max_iter: int, radius: float,
-             lam: float) -> list[TrialRecord]:
+def _run_rep(spec: SweepSpec, max_iter: int, rep: int) -> list[TrialRecord]:
     """Every trial of repetition `rep`, n descending: one pool task."""
     signal = rep_signal(spec, rep)
-    return [run_trial(spec, (n, rep), est, max_iter, signal=signal, radius=radius, lam=lam)
+    return [run_trial(spec, (n, rep), est, max_iter, signal=signal)
             for n in reversed(spec.n_grid) for est in spec.estimators]
 
 
-def _thread_budget(threads: int | None) -> int:
-    if threads is not None:
-        return max(0, int(threads))
+def _thread_budget() -> int:
     raw = os.environ.get(THREADS_ENV, "0")
     try:
         return max(0, int(raw))
@@ -329,12 +323,11 @@ def _thread_budget(threads: int | None) -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER,
-              threads: int | None = None) -> list[TrialRecord]:
+def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
-    threads=None reads SIXLASSO_THREADS (0 or 1 = serial; k >= 2 = a pool of
-    k spawned worker processes, whose BLAS runs on one thread).
+    SIXLASSO_THREADS sets the parallelism (unset, 0 or 1 = serial; k >= 2 =
+    a pool of k spawned worker processes, whose BLAS runs on one thread).
     Output is always sorted by trial_id and is identical, runtime_ms aside,
     whichever way the trials were scheduled (see the module docstring).
     Trials run rep by rep, n descending within a rep (the largest fit's
@@ -347,10 +340,8 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    workers = _thread_budget(threads)
-    lam = resolve_lambda(spec)
-    task = partial(_run_rep, spec, max_iter=max_iter, radius=resolve_radius(spec, lam),
-                   lam=lam)
+    workers = _thread_budget()
+    task = partial(_run_rep, spec, max_iter)
     if workers >= 2:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             per_rep = list(pool.map(task, range(spec.reps)))

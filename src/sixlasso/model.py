@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -118,9 +119,17 @@ def link_mean(link: LinkFunction, t):
     return out
 
 
+@cache
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # building the rule costs more than a sweep trial's other set-up: build it once
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _lambda_gauss_hermite(link: LinkFunction, nodes: int) -> float:
     # E[F(Z)Z] with Z ~ N(0,1): substitute z = sqrt(2) u against weight e^{-u^2}.
-    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u, w = _hermite_rule(nodes)
     z = np.sqrt(2.0) * u
     return float(np.sum(w * link_mean(link, z) * z) / np.sqrt(np.pi))
 
@@ -128,23 +137,29 @@ def _lambda_gauss_hermite(link: LinkFunction, nodes: int) -> float:
 def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
     """Compute the link constant lambda = E[F(Z)Z], Z ~ N(0,1).
 
-    The smooth links (linear, logistic, probit) use Gauss-Hermite with
-    `budget` nodes under z = sqrt(2) u.  The sign and tabulated links have a
-    kink, where a fixed-node rule stalls at ~1e-3 accuracy, so they use
-    Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981) in closed form: sign
-    jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi); a tabulated link is
-    continuous, with slope d_i between knots k_i and k_i+1 and flat beyond
-    the outer knots, giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  Phi(k) is
-    computed as erfc(-k/sqrt(2))/2, which keeps full relative precision in
-    the left tail, where 1 + erf(k/sqrt(2)) would cancel.  The Monte Carlo
-    cross-check is compute_lambda_mc.
+    Only the logistic link uses quadrature: Gauss-Hermite with `budget`
+    nodes under z = sqrt(2) u.  Every other link has a closed form by
+    Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981): linear has F' = 1,
+    giving 1; probit has F' = 2 phi, giving 2 E[phi(Z)] = 1/sqrt(pi); sign
+    jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi), where a fixed-node rule
+    would stall at ~1e-3 accuracy; a tabulated link is continuous, with
+    slope d_i between knots k_i and k_i+1 and flat beyond the outer knots,
+    giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  Phi(k) is computed as
+    erfc(-k/sqrt(2))/2, which keeps full relative precision in the left
+    tail, where 1 + erf(k/sqrt(2)) would cancel.  The budget floor is
+    checked for every link.  The Monte Carlo cross-check is
+    compute_lambda_mc.
 
     Raises NonPositiveLambda when the result is <= 0: the estimator theory
     needs lambda > 0, which every monotone nondecreasing odd link satisfies.
     """
     if budget < 32:
         raise ValueError("quadrature budget must be >= 32 nodes")
-    if link.kind == "sign":
+    if link.kind == "linear":
+        value = 1.0
+    elif link.kind == "probit":
+        value = float(1.0 / np.sqrt(np.pi))
+    elif link.kind == "sign":
         value = float(np.sqrt(2.0 / np.pi))
     elif link.kind == "tabulated":
         slopes = np.diff(link.values) / np.diff(link.knots)
@@ -238,13 +253,9 @@ class Dataset:
 # The last two draws, oldest first, as (signal, n, link, seed, dataset).  A
 # sweep trial draws its rep's training set and then its held-out set, and
 # every trial of the rep asks for the same two: keeping two lets them share
-# the draws.  An entry holds its link, so the link cannot be freed and its id
-# reused while the entry is kept.
+# the draws.  An entry holds its signal and link, so neither can be freed and
+# its id reused while the entry is kept.
 _KEPT: list[tuple[TrueSignal, int, LinkFunction, int, Dataset]] = []
-
-
-def _same_signal(a: TrueSignal, b: TrueSignal) -> bool:
-    return a is b or (np.array_equal(a.support, b.support) and np.array_equal(a.beta, b.beta))
 
 
 def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) -> Dataset:
@@ -260,16 +271,14 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     another), so that a product with the columns of a sparse iterate's
     support, as in fit_lasso, reads contiguous memory.
 
-    The last two draws are kept.  A call with an equal signal (matched by
-    value: p, support and beta equal, so a signal rebuilt from its seed
-    matches), the same link object (matched by identity), n and seed returns
-    the kept Dataset itself.  A miss evicts the oldest kept draw before
+    The last two draws are kept.  A call with the same signal and link
+    objects (matched by identity), n and seed returns the kept Dataset
+    itself.  A miss evicts the oldest kept draw before
     drawing, so at most two kept draws are alive.  Since a draw may be
     shared, X and y are read-only.
     """
     for kept_signal, kept_n, kept_link, kept_seed, kept in _KEPT:
-        if (kept_link is link and kept_n == n and kept_seed == seed
-                and _same_signal(kept_signal, signal)):
+        if kept_signal is signal and kept_link is link and kept_n == n and kept_seed == seed:
             return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

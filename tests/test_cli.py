@@ -14,6 +14,7 @@ import pytest
 import sixlasso
 from sixlasso import compute_lambda, get_link, make_signal
 from sixlasso.cli import (
+    RECORD_COLUMNS,
     InputError,
     fmt_real,
     main,
@@ -74,6 +75,10 @@ class TestLambdaCommand:
         code, out, _ = run_cli(capsys, "lambda", "--link", "probit")
         assert code == 0
         assert float(out.strip()) == pytest.approx(INV_SQRT_PI, abs=1e-7)
+
+    @pytest.mark.parametrize("link, line", [("linear", "1"), ("probit", fmt_real(INV_SQRT_PI))])
+    def test_closed_forms_print_exactly(self, capsys, link, line):
+        assert run_cli(capsys, "lambda", "--link", link) == (0, line + "\n", "")
 
     def test_mc_reports_standard_error(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--link", "logistic",
@@ -482,6 +487,28 @@ class TestSweepCommand:
         with pytest.raises(InputError, match="line 2, column converged: expected true or "
                                              "false, got " + re.escape(repr(cell))):
             parse_records_csv(text)
+
+    @pytest.mark.parametrize("column, cell, expected", [
+        ("trial_id", "x", "an integer"),
+        ("iterations", "2.5", "an integer"),
+        ("norm_gap", "big", "a real number"),
+        ("converged", "yes", "true or false"),
+        ("estimator", "ridge", "lasso or pv"),
+        ("link", "cauchy", "linear, logistic, probit or sign"),
+    ])
+    def test_malformed_cell_names_its_line_and_column(self, column, cell, expected):
+        lines = records_csv_text([_record(4, FITTED, True), _record(5, FITTED, True)]).split("\n")
+        row = lines[2].split(",")
+        row[RECORD_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(row)
+        with pytest.raises(InputError, match=f"line 3, column {column}: expected "
+                                             f"{re.escape(expected)}, got {re.escape(repr(cell))}"):
+            parse_records_csv("\n".join(lines))
+
+    def test_row_of_the_wrong_width_names_its_line(self):
+        text = records_csv_text([_record(4, FITTED, True), _record(5, FITTED, True)])
+        with pytest.raises(InputError, match="records line 3 has 17 fields, expected 18"):
+            parse_records_csv(text.rstrip("\n").rsplit(",", 1)[0] + "\n")
 
     def test_svg_geometry_deterministic(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -219,6 +219,17 @@ class TestRunTrial:
         assert a.seed != b.seed
         assert np.count_nonzero(sig.beta) == spec.s
 
+    @pytest.mark.parametrize("rule", ["sqrt_s", "two_sqrt_s_over_lambda", "raw_s", "explicit"])
+    def test_standalone_trial_matches_the_sweep(self, rule):
+        # run_trial derives lambda and the radius from the spec itself
+        spec = smoke_spec(estimators=("lasso", "pv"), radius_rule=rule,
+                          radius_value=1.5 if rule == "explicit" else None)
+        swept = run_sweep(spec)
+        assert {rec.radius for rec in swept} == {resolve_radius(spec)}
+        for rec in swept:
+            alone = run_trial(spec, (rec.n, _rep_of(spec, rec)), rec.estimator)
+            assert _without_runtime(alone) == _without_runtime(rec)
+
     def test_fresh_signal_per_trial_differs(self):
         spec = smoke_spec(p=60, s=3, fresh_signal_per_trial=True, link="sign")
         a = run_trial(spec, (50, 0), "lasso")
@@ -243,10 +254,12 @@ class TestRunSweep:
         b = run_sweep(spec)
         assert [_without_runtime(r) for r in a] == [_without_runtime(r) for r in b]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         spec = smoke_spec()
-        serial = run_sweep(spec, threads=0)
-        pooled = run_sweep(spec, threads=2)
+        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+        serial = run_sweep(spec)
+        monkeypatch.setenv("SIXLASSO_THREADS", "2")
+        pooled = run_sweep(spec)
         assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
 
     def test_max_iter_checked_before_any_trial(self):
@@ -335,11 +348,13 @@ class TestPairedDesign:
             assert rec.seed == seed
             assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, seed, rec.estimator)
 
-    def test_fresh_signal_cells_share_their_signal(self):
+    def test_fresh_signal_cells_share_their_signal(self, monkeypatch):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
                           fresh_signal_per_trial=True)
-        serial = run_sweep(spec, threads=0)
-        pooled = run_sweep(spec, threads=2)
+        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+        serial = run_sweep(spec)
+        monkeypatch.setenv("SIXLASSO_THREADS", "2")
+        pooled = run_sweep(spec)
         assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
         for lasso, pv in _cell_pairs(serial):
             rep = _rep_of(spec, lasso)
@@ -363,7 +378,8 @@ class TestPairedDesign:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        run_sweep(spec, threads=0)
+        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+        run_sweep(spec)
         # per rep: one signal, one training draw and one held-out draw
         assert draws.count("make_signal") == spec.reps
         assert draws.count("generate_dataset") == 2 * spec.reps

@@ -127,6 +127,11 @@ class TestComputeLambda:
         # Stein: E[F(Z)Z] = E[F'(Z)] = 2 E[phi(Z)] = 1/sqrt(pi)
         assert compute_lambda(PROBIT, budget=64) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-8)
 
+    def test_linear_and_probit_are_exact(self):
+        # Stein: linear has F' = 1; probit has F' = 2 phi, so 2 E[phi(Z)] = 1/sqrt(pi)
+        assert compute_lambda(LINEAR) == 1.0
+        assert compute_lambda(PROBIT) == 1.0 / np.sqrt(np.pi)
+
     def test_logistic_value(self):
         assert compute_lambda(LOGISTIC, budget=64) == pytest.approx(0.4132, abs=1e-3)
 
@@ -278,7 +283,7 @@ class TestKeptDraws:
         {"seed": 22},
         {"n": 41},
         {"link": PROBIT},
-        # same p and support, another beta: signals are matched by value
+        # same p and support, another beta
         {"signal": dataclasses.replace(SIG, beta=-SIG.beta)},
     ], ids=["seed", "n", "link", "signal"])
     def test_changed_call_draws_afresh(self, change):
@@ -291,12 +296,6 @@ class TestKeptDraws:
         assert cold is not fresh
         np.testing.assert_array_equal(fresh.X, cold.X)
         np.testing.assert_array_equal(fresh.y, cold.y)
-
-    def test_equal_signal_in_another_object_returns_the_kept_draw(self):
-        first = generate_dataset(**self.ARGS)
-        rebuilt = make_signal(10, 3, "random", seed=6)
-        assert rebuilt is not self.SIG
-        assert generate_dataset(**dict(self.ARGS, signal=rebuilt)) is first
 
     def test_two_other_draws_evict_the_first(self):
         first = generate_dataset(**self.ARGS)
