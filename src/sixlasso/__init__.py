@@ -24,9 +24,7 @@ from .errors import (
     EmptyFeasibleSet,
     EmptyRecords,
     InvalidSparsity,
-    LinkRangeError,
     NegativeRadius,
-    NonPositiveLambda,
     SixLassoError,
     ZeroGradient,
     ZeroMatrix,
@@ -63,7 +61,6 @@ from .model import (
     get_link,
     link_mean,
     make_signal,
-    tabulated_link,
 )
 from .oracle import (
     GridSpec,

@@ -388,10 +388,6 @@ def cmd_lambda(args) -> int:
     budget = {} if args.budget is None else {"budget": args.budget}
     if args.method == "mc":
         value, stderr = compute_lambda_mc(link, seed=args.seed, **budget)
-        if value <= 0:
-            print(f"lambda = {fmt_real(value)} <= 0: decreasing or degenerate link",
-                  file=sys.stderr)
-            return 1
         print(fmt_real(value))
         print(fmt_real(stderr))
     else:
@@ -487,6 +483,12 @@ def cmd_sweep(args) -> int:
         if os.path.realpath(path_a) == os.path.realpath(path_b):
             raise InputError(f"the {b} output {path_b} would overwrite "
                              f"the {a} output {path_a}")
+    # a path that cannot be written would otherwise show only after every trial
+    for what, path in named:
+        if os.path.isdir(path):
+            raise OutputError(f"the {what} output {path} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OutputError(f"the {what} output {path} is in a directory that does not exist")
     records = run_sweep(spec, max_iter)
     rows = summarize(records)
     write_text_atomic(out, records_csv_text(records))
@@ -516,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda.add_argument("--method", default="quadrature", choices=["quadrature", "mc"])
     p_lambda.add_argument("--budget", type=int, default=None,
                           help="Gauss-Hermite nodes for the logistic link (default 64, "
-                               "at least 32; the other links are exact); samples for "
+                               "32 to 256; the other links are exact); samples for "
                                "--method mc (default 1000000, at least 10000)")
     p_lambda.add_argument("--seed", type=int, default=0)
     p_lambda.set_defaults(func=cmd_lambda)

@@ -10,20 +10,8 @@ class SixLassoError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NonPositiveLambda(SixLassoError):
-    """The link constant E[F(Z)Z] came out <= 0.
-
-    Signals a decreasing or degenerate link; the direction-recovery
-    guarantees need a positive constant.
-    """
-
-
 class InvalidSparsity(SixLassoError):
     """Requested support size s is outside 1 <= s <= p."""
-
-
-class LinkRangeError(SixLassoError):
-    """A binary link returned a conditional mean outside [-1, 1]."""
 
 
 class NegativeRadius(SixLassoError):

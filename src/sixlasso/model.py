@@ -2,25 +2,26 @@
 
 The data model is binary single-index: x ~ N(0, I_p) and the conditional
 mean of the +-1 response is E[y|x] = F(x'beta), where F maps the index to
-[-1, 1].  Four built-in links are provided (all odd and nondecreasing), plus
-user-tabulated monotone piecewise-linear links.
+[-1, 1].  The four built-in links (linear, logistic, probit and sign) are
+the whole link model.  Each is odd and nondecreasing, so F(z)z >= 0 for
+every z and the link constant is positive.
 
 The package's only runtime dependency is numpy.  The Gaussian special
-functions the probit link and the tabulated link constant need, erf and
-erfc, come from the standard library's math module, applied entry by entry.
+function the probit link needs, erf, comes from the standard library's math
+module, applied entry by entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .errors import InvalidSparsity, LinkRangeError, NonPositiveLambda
+from .errors import InvalidSparsity
 
-LINK_KINDS = ("linear", "logistic", "probit", "sign", "tabulated")
+LINK_KINDS = ("linear", "logistic", "probit", "sign")
 
 EQUAL_MAGNITUDE = "equal"
 RANDOM_MAGNITUDE = "random"
@@ -28,39 +29,18 @@ RANDOM_MAGNITUDE = "random"
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Conditional-mean function F with F(t) in [-1, 1].
+    """Conditional-mean function F with F(t) in [-1, 1], one of LINK_KINDS.
 
-    The "linear" kind (F(t) = t) is exempt from the range bound; it exists
-    for noiseless real-valued regression used to force exact solver answers.
-
-    Tabulated links are monotone piecewise-linear: ascending knots with
-    values in [-1, 1], extended by constants beyond the outermost knots.
+    Every kind is odd and nondecreasing.  The "linear" kind (F(t) = t) is
+    exempt from the range bound; it exists for noiseless real-valued
+    regression used to force exact solver answers.
     """
 
     kind: str
-    knots: np.ndarray | None = field(default=None)
-    values: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}; expected one of {LINK_KINDS}")
-        if self.kind == "tabulated":
-            if self.knots is None or self.values is None:
-                raise ValueError("tabulated link needs knots and values")
-            knots = np.asarray(self.knots, dtype=float)
-            values = np.asarray(self.values, dtype=float)
-            if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-                raise ValueError("knots/values must be 1-d arrays of equal length >= 2")
-            if not np.all(np.diff(knots) > 0):
-                raise ValueError("knots must be strictly ascending")
-            if np.any(np.abs(values) > 1.0):
-                raise LinkRangeError("tabulated link values must lie in [-1, 1]")
-            if np.any(np.diff(values) < 0):
-                raise ValueError("tabulated link must be monotone nondecreasing")
-            object.__setattr__(self, "knots", knots)
-            object.__setattr__(self, "values", values)
-        elif self.knots is not None or self.values is not None:
-            raise ValueError("knots/values are only valid for tabulated links")
 
     def __call__(self, t):
         return link_mean(self, t)
@@ -81,11 +61,6 @@ def get_link(name: str) -> LinkFunction:
     except KeyError:
         raise ValueError(f"unknown link {name!r}; "
                          f"expected one of {sorted(BUILTIN_LINKS)}") from None
-
-
-def tabulated_link(knots, values) -> LinkFunction:
-    """Build a monotone piecewise-linear link from a (knots, values) table."""
-    return LinkFunction("tabulated", np.asarray(knots, float), np.asarray(values, float))
 
 
 def _map_float(f, x: np.ndarray) -> np.ndarray:
@@ -110,10 +85,8 @@ def link_mean(link: LinkFunction, t):
         out = np.tanh(0.5 * t)
     elif link.kind == "probit":
         out = _map_float(math.erf, t / np.sqrt(2.0))
-    elif link.kind == "sign":
-        out = np.sign(t)
     else:
-        out = np.interp(t, link.knots, link.values)
+        out = np.sign(t)
     if out.ndim == 0:
         return float(out)
     return out
@@ -142,34 +115,23 @@ def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
     Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981): linear has F' = 1,
     giving 1; probit has F' = 2 phi, giving 2 E[phi(Z)] = 1/sqrt(pi); sign
     jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi), where a fixed-node rule
-    would stall at ~1e-3 accuracy; a tabulated link is continuous, with
-    slope d_i between knots k_i and k_i+1 and flat beyond the outer knots,
-    giving sum_i d_i (Phi(k_i+1) - Phi(k_i)).  Phi(k) is computed as
-    erfc(-k/sqrt(2))/2, which keeps full relative precision in the left
-    tail, where 1 + erf(k/sqrt(2)) would cancel.  The budget floor is
-    checked for every link.  The Monte Carlo cross-check is
-    compute_lambda_mc.
+    would stall at ~1e-3 accuracy.  The budget must lie in 32..256 for
+    every link, checked before any rule is built: the rule's weights
+    overflow from 371 nodes on, and hermgauss builds a dense budget-by-budget
+    matrix.  The Monte Carlo cross-check is compute_lambda_mc.
 
-    Raises NonPositiveLambda when the result is <= 0: the estimator theory
-    needs lambda > 0, which every monotone nondecreasing odd link satisfies.
+    Every link is odd and nondecreasing, so F(z)z >= 0 for every z and
+    lambda > 0, as the estimator theory needs.
     """
-    if budget < 32:
-        raise ValueError("quadrature budget must be >= 32 nodes")
+    if not 32 <= budget <= 256:
+        raise ValueError(f"quadrature budget must be 32 to 256 nodes, got {budget}")
     if link.kind == "linear":
-        value = 1.0
-    elif link.kind == "probit":
-        value = float(1.0 / np.sqrt(np.pi))
-    elif link.kind == "sign":
-        value = float(np.sqrt(2.0 / np.pi))
-    elif link.kind == "tabulated":
-        slopes = np.diff(link.values) / np.diff(link.knots)
-        cdf = 0.5 * _map_float(math.erfc, -link.knots / np.sqrt(2.0))
-        value = float(slopes @ np.diff(cdf))
-    else:
-        value = _lambda_gauss_hermite(link, budget)
-    if value <= 0.0:
-        raise NonPositiveLambda(f"lambda = {value} <= 0 for link {link.kind!r}")
-    return value
+        return 1.0
+    if link.kind == "probit":
+        return float(1.0 / np.sqrt(np.pi))
+    if link.kind == "sign":
+        return float(np.sqrt(2.0 / np.pi))
+    return _lambda_gauss_hermite(link, budget)
 
 
 def compute_lambda_mc(link: LinkFunction, budget: int = 1_000_000,
@@ -291,12 +253,7 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     if link.kind == "linear":
         y = t.copy()
     else:
-        f = np.asarray(link_mean(link, t))
-        if np.any(np.abs(f) > 1.0):
-            raise LinkRangeError(
-                f"link {link.kind!r} returned |F| = {np.max(np.abs(f))} > 1"
-            )
-        y = np.where(rng.random(n) < 0.5 * (1.0 + f), 1.0, -1.0)
+        y = np.where(rng.random(n) < 0.5 * (1.0 + link_mean(link, t)), 1.0, -1.0)
     y.flags.writeable = False
     data = Dataset(X=X, y=y)
     _KEPT.append((signal, n, link, seed, data))

@@ -93,6 +93,12 @@ class TestLambdaCommand:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["257", "500"])
+    def test_budget_above_256_is_input_error(self, capsys, budget):
+        code, out, err = run_cli(capsys, "lambda", "--link", "logistic", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "budget" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["lambda", "--link", "sign", "--frobnicate"]) == 2
         # the solver has one stop rule and no tolerance to set
@@ -438,6 +444,21 @@ class TestSweepCommand:
             assert str(out) in err
         # the failed rename into the directory left no temp file behind
         assert not list(tmp_path.glob(".tmp_*"))
+
+    def test_unwritable_svg_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr("sixlasso.cli.run_sweep", no_sweep)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        (tmp_path / "existing_dir").mkdir()
+        out = str(tmp_path / "r.csv")
+        for svg in (tmp_path / "missing_dir" / "x.svg", tmp_path / "existing_dir"):
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config),
+                                   "--out", out, "--out-svg", str(svg))
+            assert code == 3
+            assert f"SVG output {svg}" in err
+        assert sorted(os.listdir(tmp_path)) == ["existing_dir", "sweep.cfg"]
 
     def test_nan_radius_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
