@@ -1,5 +1,5 @@
 """Sparse direction recovery for binary single-index data via l1-constrained
-least squares, with brute-force oracles and a seeded Monte Carlo harness.
+least squares, with a seeded Monte Carlo harness.
 
 Importing sixlasso sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 unless the environment already sets them, so BLAS runs
@@ -20,8 +20,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del os, _var  # keeps both out of __all__
 
 from .errors import (
-    DimensionTooLarge,
-    EmptyFeasibleSet,
     EmptyRecords,
     InvalidSparsity,
     NegativeRadius,
@@ -61,13 +59,6 @@ from .model import (
     get_link,
     link_mean,
     make_signal,
-)
-from .oracle import (
-    GridSpec,
-    oracle_lasso_small,
-    oracle_project_l1,
-    oracle_pv_linear,
-    oracle_sphere_lasso,
 )
 from .solver import (
     FitResult,

@@ -372,8 +372,7 @@ _SPEC_SETTINGS = {
 }
 _CONFIG_ONLY = ("signal_mode", "test_n", "fresh_signal")
 # the SweepSpec fields named otherwise than their config keys
-_SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed",
-                "fresh_signal": "fresh_signal_per_trial"}
+_SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed"}
 _SWEEP_SETTINGS = {**_SPEC_SETTINGS, "max_iter": (int, None), "out": (str, None),
                    "out_svg": (str, None)}
 SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)

@@ -27,14 +27,6 @@ class ZeroGradient(SixLassoError):
     """X'y vanished: the data carry no directional information."""
 
 
-class DimensionTooLarge(SixLassoError):
-    """An exhaustive oracle was asked to search more dimensions than it supports."""
-
-
-class EmptyFeasibleSet(SixLassoError):
-    """The requested constraint set contains no points (l1 cap below the sphere radius)."""
-
-
 class ZeroVector(SixLassoError):
     """A metric received a (numerically) zero vector where a direction is needed."""
 

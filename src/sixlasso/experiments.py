@@ -80,9 +80,8 @@ class SweepSpec:
     effective-sparsity radius), "two_sqrt_s_over_lambda", "raw_s" (s), or
     "explicit" with radius_value.  estimators are canonicalized to
     ("lasso", "pv") order so that trial ids do not depend on input order.
-    The signal is drawn once per sweep by default; set
-    fresh_signal_per_trial for a new signal every rep, which every cell and
-    estimator of the rep shares.
+    The signal is drawn once per sweep by default; set fresh_signal for a
+    new signal every rep, which every cell and estimator of the rep shares.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -101,7 +100,7 @@ class SweepSpec:
     signal_mode: str = RANDOM_MAGNITUDE
     estimators: tuple[str, ...] = ("lasso",)
     test_n: int = 10_000
-    fresh_signal_per_trial: bool = False
+    fresh_signal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -213,14 +212,14 @@ def resolve_radius(spec: SweepSpec) -> float:
 
 
 def sweep_signal(spec: SweepSpec) -> TrueSignal:
-    """The sweep-level signal (used by every trial unless regeneration is on)."""
+    """The sweep-level signal (used by every trial unless fresh_signal is set)."""
     return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(spec.base_seed))
 
 
 def rep_signal(spec: SweepSpec, rep: int) -> TrueSignal:
     """The signal of repetition `rep`: the sweep signal, or with
-    fresh_signal_per_trial one drawn from the rep's own signal stream."""
-    if spec.fresh_signal_per_trial:
+    fresh_signal one drawn from the rep's own signal stream."""
+    if spec.fresh_signal:
         return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(rep_seed(spec, rep)))
     return sweep_signal(spec)
 

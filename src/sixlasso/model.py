@@ -134,20 +134,28 @@ def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
     return _lambda_gauss_hermite(link, budget)
 
 
+_MC_CHUNK = 1 << 20
+
+
 def compute_lambda_mc(link: LinkFunction, budget: int = 1_000_000,
                       seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of lambda with its standard error.
 
     This is the independent cross-check for the quadrature path; it is never
-    the default.  Returns (estimate, stderr).
+    the default.  Returns (estimate, stderr).  The samples are drawn and
+    summed in chunks of 2^20, so memory does not grow with the budget; the
+    chunks continue one stream, so the draws are those of a single call.
     """
     if budget < 10_000:
         raise ValueError("Monte Carlo budget must be >= 10000 samples")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(budget)
-    v = link_mean(link, z) * z
-    mean = float(v.mean())
-    sumsq = float(v @ v)  # single-pass second moment; avoids std()'s extra temporaries
+    total = sumsq = 0.0
+    for start in range(0, budget, _MC_CHUNK):
+        z = rng.standard_normal(min(_MC_CHUNK, budget - start))
+        v = link_mean(link, z) * z
+        total += float(v.sum())
+        sumsq += float(v @ v)  # single-pass second moment
+    mean = total / budget
     var = max(sumsq - budget * mean * mean, 0.0) / (budget - 1)
     return mean, float(np.sqrt(var / budget))
 

@@ -1,35 +1,22 @@
 """Brute-force reference solvers for desk-scale verification.
 
-Everything here exists to certify the production code in `solver` and the
-relationships between the sphere-constrained programs; nothing is meant to
-be fast.  All exhaustive searches are capped at p <= 3 and break objective
-ties by the lexicographically smallest point.
+These are the reference implementations that acceptance criteria 2, 3 and 6
+compare against: the l1-ball projection, the lasso solver and the
+sphere-constrained programs.  They live with the tests, and the installed
+package does not ship them; nothing here is meant to be fast.  The
+exhaustive searches scan a grid of resolution `step` (0 < step <= 0.1), are
+capped at p <= P_MAX and break objective ties by the lexicographically
+smallest point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionTooLarge, EmptyFeasibleSet, NegativeRadius
-from .model import Dataset
+from sixlasso import Dataset, NegativeRadius
 
+P_MAX = 3
 _CHUNK = 200_000
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution and dimension cap for the exhaustive searches."""
-
-    step: float = 0.01
-    p_max: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.step <= 0.1:
-            raise ValueError("step must be in (0, 0.1]")
-        if not 1 <= self.p_max <= 3:
-            raise ValueError("p_max must be in {1, 2, 3}")
 
 
 def oracle_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -59,9 +46,11 @@ def oracle_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def _check_dim(p: int, grid: GridSpec):
-    if p > grid.p_max:
-        raise DimensionTooLarge(f"exhaustive search supports p <= {grid.p_max}, got p={p}")
+def _check_grid(p: int, step: float):
+    if not 0.0 < step <= 0.1:
+        raise ValueError("step must be in (0, 0.1]")
+    if p > P_MAX:
+        raise ValueError(f"exhaustive search supports p <= {P_MAX}, got p={p}")
 
 
 def _axis_grid(radius: float, step: float) -> np.ndarray:
@@ -76,7 +65,11 @@ def _lex_min(points: np.ndarray) -> np.ndarray:
 
 
 def _scan_best(candidates_iter, score_chunk, minimize: bool):
-    """Stream chunks, keep the best score; ties resolved lexicographically."""
+    """Stream chunks, keep the best score; ties resolved lexicographically.
+
+    Every search streams a feasible point: the origin for the box searches,
+    and the 2p axis points for the sphere once l1_cap >= l2_value.
+    """
     best = np.inf if minimize else -np.inf
     best_points = None
     for chunk in candidates_iter:
@@ -91,8 +84,6 @@ def _scan_best(candidates_iter, score_chunk, minimize: bool):
             best_points = [chunk[scores == val]]
         elif val == best and best_points is not None:
             best_points.append(chunk[scores == val])
-    if best_points is None:
-        raise EmptyFeasibleSet("no candidate point satisfied the constraints")
     return _lex_min(np.vstack(best_points)), float(best)
 
 
@@ -116,7 +107,8 @@ def _box_candidates(axis: np.ndarray, p: int, keep):
         yield block[keep(block)]
 
 
-def oracle_lasso_small(data: Dataset, radius: float, grid: GridSpec) -> tuple[np.ndarray, float]:
+def oracle_lasso_small(data: Dataset, radius: float,
+                       step: float = 0.01) -> tuple[np.ndarray, float]:
     """Exhaustive-grid minimizer of (1/n)||y - X beta||_2^2 on the l1 ball.
 
     Searches the cubic grid {-radius, -radius+step, ...}^p intersected with
@@ -128,8 +120,8 @@ def oracle_lasso_small(data: Dataset, radius: float, grid: GridSpec) -> tuple[np
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     n, p = X.shape
-    _check_dim(p, grid)
-    axis = _axis_grid(radius, grid.step)
+    _check_grid(p, step)
+    axis = _axis_grid(radius, step)
 
     def keep(block):
         return np.abs(block).sum(axis=1) <= radius
@@ -172,10 +164,10 @@ def _sphere_points(p: int, l2_value: float, step: float) -> np.ndarray:
 
 
 def oracle_sphere_lasso(data: Dataset, l1_cap: float, l2_value: float,
-                        grid: GridSpec) -> tuple[np.ndarray, float]:
+                        step: float = 0.01) -> tuple[np.ndarray, float]:
     """Minimize ||y - X beta||_2 over ||beta||_2 = l2_value, ||beta||_1 <= l1_cap.
 
-    The sphere is parameterized by angles at resolution <= grid.step radians
+    The sphere is parameterized by angles at resolution <= step radians
     (polar for p=2, spherical for p=3) and filtered by the l1 cap.  This is
     the desk-scale stand-in for the sphere-constrained programs; the returned
     objective is the unsquared residual norm.
@@ -184,15 +176,15 @@ def oracle_sphere_lasso(data: Dataset, l1_cap: float, l2_value: float,
     y = np.asarray(data.y, dtype=float)
     p = X.shape[1]
     if p not in (2, 3):
-        raise DimensionTooLarge(f"sphere search supports p in {{2, 3}}, got p={p}")
-    _check_dim(p, grid)
+        raise ValueError(f"sphere search supports p in {{2, 3}}, got p={p}")
+    _check_grid(p, step)
     if l2_value <= 0:
         raise ValueError("l2_value must be > 0")
     if l1_cap < l2_value:
-        raise EmptyFeasibleSet(
+        raise ValueError(
             f"l1 cap {l1_cap} < sphere radius {l2_value}: the sphere lies outside the l1 ball"
         )
-    pts = _sphere_points(p, l2_value, grid.step)
+    pts = _sphere_points(p, l2_value, step)
     pts = pts[np.abs(pts).sum(axis=1) <= l1_cap * (1.0 + 1e-12)]
 
     def score(block):
@@ -206,15 +198,15 @@ def oracle_sphere_lasso(data: Dataset, l1_cap: float, l2_value: float,
     return _scan_best(chunks(), score, minimize=True)
 
 
-def oracle_pv_linear(g: np.ndarray, l1_radius: float, grid: GridSpec) -> np.ndarray:
+def oracle_pv_linear(g: np.ndarray, l1_radius: float, step: float = 0.01) -> np.ndarray:
     """Grid maximizer of <g, beta> over ||beta||_1 <= l1_radius, ||beta||_2 <= 1."""
     g = np.asarray(g, dtype=float)
     p = g.size
-    _check_dim(p, grid)
+    _check_grid(p, step)
     if l1_radius < 0:
         raise NegativeRadius(f"l1_radius must be >= 0, got {l1_radius}")
     bound = min(l1_radius, 1.0)
-    axis = _axis_grid(bound, grid.step)
+    axis = _axis_grid(bound, step)
 
     def keep(block):
         return (np.abs(block).sum(axis=1) <= l1_radius) & ((block * block).sum(axis=1) <= 1.0)

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import oracle_lasso_small, oracle_project_l1, oracle_sphere_lasso
 from sixlasso import (
     LINEAR,
     LOGISTIC,
     PROBIT,
     SIGN,
-    GridSpec,
     SweepSpec,
     compute_lambda,
     compute_lambda_mc,
@@ -25,9 +25,6 @@ from sixlasso import (
     generate_dataset,
     lipschitz_estimate,
     make_signal,
-    oracle_lasso_small,
-    oracle_project_l1,
-    oracle_sphere_lasso,
     project_l1_ball,
     run_sweep,
 )
@@ -119,7 +116,7 @@ def test_criterion_2_projection_certification():
 def test_criterion_3_solver_optimality():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
-    grid = GridSpec(step=0.01)
+    step = 0.01
     worst_excess = -np.inf
     worst_residual = 0.0
     converged_count = 0
@@ -132,8 +129,8 @@ def test_criterion_3_solver_optimality():
         signal = make_signal(p, s, "random", seed=1000 + trial)
         data = generate_dataset(signal, n, LOGISTIC, seed=2000 + trial)
         fit = fit_lasso(data, radius)
-        _, oracle_obj = oracle_lasso_small(data, radius, grid)
-        bound = lipschitz_estimate(data.X) * p * grid.step ** 2
+        _, oracle_obj = oracle_lasso_small(data, radius, step)
+        bound = lipschitz_estimate(data.X) * p * step ** 2
         worst_excess = max(worst_excess, fit.objective - oracle_obj)
         ok &= fit.objective <= oracle_obj + bound
         if fit.converged:
@@ -177,7 +174,7 @@ def test_criterion_5_norm_concentration_and_raw_error(figure1):
 def test_criterion_6_sphere_program_agreement():
     start = time.perf_counter()
     lam = compute_lambda(LOGISTIC)
-    grid = GridSpec(step=0.005)
+    step = 0.005
     s = 1
     ok = True
     details = []
@@ -189,8 +186,8 @@ def test_criterion_6_sphere_program_agreement():
             for seed in range(20):
                 signal = make_signal(2, s, "random", seed=1000 + seed)
                 data = generate_dataset(signal, n, LOGISTIC, seed=2000 + seed)
-                unit_fit, _ = oracle_sphere_lasso(data, 2.0 * np.sqrt(s) / lam, 1.0, grid)
-                scaled_fit, _ = oracle_sphere_lasso(data, np.sqrt(s), k, grid)
+                unit_fit, _ = oracle_sphere_lasso(data, 2.0 * np.sqrt(s) / lam, 1.0, step)
+                scaled_fit, _ = oracle_sphere_lasso(data, np.sqrt(s), k, step)
                 gaps.append(float(np.linalg.norm(unit_fit - scaled_fit / k)))
             med[n] = float(np.median(gaps))
         ok &= med[5000] <= 0.5 * med[100]

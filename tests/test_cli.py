@@ -88,6 +88,29 @@ class TestLambdaCommand:
         assert abs(value - compute_lambda(get_link("logistic"))) <= 4 * stderr
         assert stderr > 0
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_mc_memory_does_not_grow_with_budget(self):
+        # the samples are drawn in chunks of 2^20, so a 4e6 budget peaks about
+        # as high as the default 1e6 (about 100 MB), not four times as high
+        src = str(Path(sixlasso.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import sixlasso.cli\n"
+            "code = sixlasso.cli.main(['lambda', '--link', 'probit', '--method', 'mc',"
+            " '--budget', '4000000'])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, status.split('VmHWM:')[1].split()[0])\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        value, _, last = done.stdout.splitlines()
+        code, peak_kb = last.split()
+        assert code == "0"
+        assert float(value) == pytest.approx(INV_SQRT_PI, abs=0.003)
+        assert int(peak_kb) < 160 * 1024
+
     def test_bad_budget_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--link", "sign", "--budget", "2")
         assert code == 2

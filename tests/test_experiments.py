@@ -231,7 +231,7 @@ class TestRunTrial:
             assert _without_runtime(alone) == _without_runtime(rec)
 
     def test_fresh_signal_per_trial_differs(self):
-        spec = smoke_spec(p=60, s=3, fresh_signal_per_trial=True, link="sign")
+        spec = smoke_spec(p=60, s=3, fresh_signal=True, link="sign")
         a = run_trial(spec, (50, 0), "lasso")
         b = run_trial(spec, (50, 1), "lasso")
         assert _without_runtime(a) != _without_runtime(b)
@@ -350,7 +350,7 @@ class TestPairedDesign:
 
     def test_fresh_signal_cells_share_their_signal(self, monkeypatch):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
-                          fresh_signal_per_trial=True)
+                          fresh_signal=True)
         monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
         serial = run_sweep(spec)
         monkeypatch.setenv("SIXLASSO_THREADS", "2")
@@ -367,7 +367,7 @@ class TestPairedDesign:
 
     def test_fresh_signal_sweep_draws_once_per_rep(self, monkeypatch):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
-                          fresh_signal_per_trial=True, base_seed=31)
+                          fresh_signal=True, base_seed=31)
         draws = []
         real = np.random.default_rng
 

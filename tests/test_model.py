@@ -76,7 +76,7 @@ class TestLinkMean:
         assert LOGISTIC(0.0) == 0.0
 
 
-class TestTabulatedLink:
+class TestLinkLookup:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             LinkFunction("cauchy")
@@ -124,6 +124,19 @@ class TestComputeLambda:
     def test_quadrature_mc_agreement(self, link):
         value, stderr = compute_lambda_mc(link, budget=1_000_000, seed=99)
         assert abs(compute_lambda(link) - value) <= 3.0 * stderr
+
+    def test_mc_chunks_continue_one_stream(self):
+        # three chunks of draws give the samples of one call; the sums are
+        # rounded chunk by chunk, and the variance's subtraction amplifies
+        # that in the standard error
+        budget = 3 * (1 << 20) - 7
+        value, stderr = compute_lambda_mc(LOGISTIC, budget=budget, seed=5)
+        z = np.random.default_rng(5).standard_normal(budget)
+        v = link_mean(LOGISTIC, z) * z
+        mean = float(v.mean())
+        var = (float(v @ v) - budget * mean * mean) / (budget - 1)
+        assert value == pytest.approx(mean, rel=1e-15, abs=0)
+        assert stderr == pytest.approx(np.sqrt(var / budget), rel=1e-14, abs=0)
 
     def test_budget_floors(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_project_l1
 from sixlasso import (
     Dataset,
     FitResult,
@@ -20,7 +21,6 @@ from sixlasso import (
     generate_dataset,
     lipschitz_estimate,
     make_signal,
-    oracle_project_l1,
     project_l1_ball,
     pv_linear_fit,
 )
