@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -333,7 +331,9 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     temporaries come first, so the smaller ones reuse their memory), and
     each rep is one pool task, so a rep's trials run in one worker and
     share its two draws there; a pool therefore keeps at most `reps`
-    workers busy.
+    workers busy.  The pool's modules (concurrent.futures, multiprocessing)
+    are imported only when a pool runs, so a serial sweep does not pay
+    their memory and import time.
     max_iter < 1 raises ValueError before any trial runs, even in a sweep
     without lasso.
     """
@@ -342,6 +342,9 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     workers = _thread_budget()
     task = partial(_run_rep, spec, max_iter)
     if workers >= 2:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             per_rep = list(pool.map(task, range(spec.reps)))
     else:

@@ -6,13 +6,16 @@ l1-ball projection, an adaptive backtracked step 1/L (Scheinberg, Goldfarb &
 Bai 2014) and a function-value restart (O'Donoghue & Candes 2015).  Once the
 sign pattern of the iterate settles it tries an exact finish: the
 closed-form minimizer on that support and those signs (the active-set step
-of Osborne, Presnell & Turlach 2000), from one LAPACK Cholesky
-factorization.  It has one stop rule: the
-gradient-mapping certificate ||beta - P(beta - grad/L)||_2 <= 1e-6, which
-the loop checks whenever a step moves the iterate by at most 1e-6 and which
-the exact finish must pass.  pv_linear_fit maximizes <X'y, beta> over the
-intersection of an l1 ball and the unit l2 ball, the classical one-bit
-recovery baseline.
+of Osborne, Presnell & Turlach 2000), from one Gram matrix X_S'X_S, tested
+positive definite by a LAPACK Cholesky factorization and solved once.  It
+has one stop rule: the gradient-mapping certificate
+||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks whenever a
+step moves the iterate by at most 1e-6 and which the exact finish must
+pass.  Every product with the support columns X_S, X_S'X_S among them,
+runs over blocks of 256 rows, so a fit holds O(n + p + 256|S| + |S|^2)
+floats beside X and never gathers X_S whole.  pv_linear_fit maximizes <X'y, beta>
+over the intersection of an l1 ball and the unit l2 ball, the classical
+one-bit recovery baseline.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ _CERT_TOL = 1e-6
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
+_ROW_BLOCK = 256  # rows of X_S gathered at a time: bounds the gather, keeps it in cache
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,11 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     is only fit_lasso's first step constant, which the fit then shrinks or
     raises as its steps allow.  An all-zero X, or one whose squares underflow
     to a start of 0, raises ZeroMatrix: doubling could never lift L off 0,
-    and the fit would backtrack forever.  A start that overflows raises
-    ValueError, since a certificate at L = inf would be vacuous.
+    and the fit would backtrack forever.  A start that is not finite raises
+    ValueError, since a certificate at L = inf would be vacuous: its message
+    names the NaN or infinite entries of X when there are any, and says the
+    squared column norms overflow otherwise.  This pass over X is the one
+    finiteness check fit_lasso makes of it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -108,22 +115,39 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     if L == 0.0:
         raise ZeroMatrix("X is identically zero, or its squares underflow to 0")
     if not np.isfinite(L):
+        # a NaN or inf entry makes its column's sum of squares non-finite too
+        if not np.isfinite(X).all():
+            raise ValueError("X must be finite: it has NaN or infinite entries")
         raise ValueError("the squared column norms of X overflow")
     return L
 
 
-def _normal_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    """Solve (A'A) Z = B, or None when A'A is not numerically positive definite.
+def _support_product(X: np.ndarray, S: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X[:, S] @ v, gathered and multiplied one row block at a time.
 
-    Cholesky A'A = C C' (LAPACK), then C V = B and C' Z = V.  BLAS runs on
-    one thread in every sixlasso process (see the package docstring), so
-    these level-3 calls give the same bits in a serial and a pooled sweep.
+    Each output entry is the same dot product as in the one-shot product,
+    so the result is bit-identical to it.
+    """
+    out = np.empty(X.shape[0])
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        np.dot(X[i:i + _ROW_BLOCK, S], v, out=out[i:i + _ROW_BLOCK])
+    return out
+
+
+def _normal_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """Solve G Z = B for a Gram matrix G, or None when G is not numerically
+    positive definite.
+
+    A LAPACK Cholesky factorization is the positive-definiteness test; one
+    LU solve then gives Z.  BLAS runs on one thread in every sixlasso
+    process (see the package docstring), so these calls give the same bits
+    in a serial and a pooled sweep.
     """
     try:
-        C = np.linalg.cholesky(A.T @ A)
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(C.T, np.linalg.solve(C, B))
+    return np.linalg.solve(G, B)
 
 
 def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResult:
@@ -135,9 +159,9 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     are the same combinations of the last two, so an accepted iteration
     costs one X @ and one X.T @ product.  X's columns are held contiguous
     (a row-major X is copied), and the X @ product touches only the
-    columns of x+'s support.  L starts at lipschitz_estimate(X), the
-    largest diagonal entry of (2/n)X'X, a lower bound on its top
-    eigenvalue.  Before each iteration's first step it is
+    columns of x+'s support, gathered 256 rows at a time.  L starts at
+    lipschitz_estimate(X), the largest diagonal entry of (2/n)X'X, a lower
+    bound on its top eigenvalue.  Before each iteration's first step it is
     multiplied by 0.8, and it is doubled, and the step retried from s,
     until the step passes the sufficient-decrease test
     (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact for this quadratic, and
@@ -148,9 +172,10 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     beta cannot raise it, so objective_path is monotone.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
-    |S| <= n, one Cholesky factorization of X_S'X_S solves it against X_S'y
-    and sigma, giving u and w (none when X_S'X_S is not numerically
-    positive definite).  If sigma'u <= radius, b = u, the least-squares
+    |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows; one
+    Cholesky factorization tests that X_S'X_S is numerically positive
+    definite (no finish otherwise), and one solve against X_S'y and sigma
+    gives u and w.  If sigma'u <= radius, b = u, the least-squares
     point on S; otherwise b = u - nu w with sigma'b = radius, the solution of
     the KKT system [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
@@ -174,6 +199,11 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     certificate passes.  A fit that runs out of max_iter is never
     converged.
 
+    Memory: beyond X (and its copy, if X is row-major) a fit holds
+    O(n + p + 256|S| + |S|^2) floats: n- and p-vectors, one 256-row block
+    of X_S, and X_S'X_S.  It makes no n x p temporary: the finiteness check
+    of X rides on lipschitz_estimate's column sums of squares.
+
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
     infinite entry in X or y, a non-finite radius, or max_iter < 1 raises
@@ -186,19 +216,20 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    # contiguous columns, so that X[:, S] reads whole columns: a no-op for
-    # generate_dataset's column-major X and for a row prefix of it (a sweep
-    # fits the first n rows of its rep's draw; the products then run with
-    # the draw's row count as leading dimension), one copy for a row-major X
+    # contiguous columns, so that a row block of X_S reads runs of whole
+    # columns: a no-op for generate_dataset's column-major X and for a row
+    # prefix of it (a sweep fits the first n rows of its rep's draw; the
+    # products then run with the draw's row count as leading dimension),
+    # one copy for a row-major X
     X = np.asarray(data.X, dtype=float)
     if X.strides[0] != X.itemsize:
         X = np.asfortranarray(X)
     y = np.asarray(data.y, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("X and y must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite: it has NaN or infinite entries")
     n, p = X.shape
 
-    L = lipschitz_estimate(X)
+    L = lipschitz_estimate(X)  # raises on a NaN or infinite entry of X
     backtracks = 0
 
     def gradient(r):
@@ -211,7 +242,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         while True:
             cand = project_l1_ball(point - g / L, radius)
             S = np.flatnonzero(cand)
-            r = X[:, S] @ cand[S] - y
+            r = _support_product(X, S, cand[S])
+            r -= y
             dd = float(np.sum((cand - point) ** 2))
             dr = r - point_resid
             if dd == 0.0 or (2.0 / n) * float(dr @ dr) <= L * dd:
@@ -229,9 +261,13 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         if not 0 < S.size <= n:
             return None
         sigma = np.sign(b[S])
-        XS = X[:, S]
+        gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
         with np.errstate(all="ignore"):
-            solved = _normal_solve(XS, np.column_stack((XS.T @ y, sigma)))
+            for i in range(0, n, _ROW_BLOCK):
+                block = X[i:i + _ROW_BLOCK, S]
+                gram += block.T @ block
+                xty += block.T @ y[i:i + _ROW_BLOCK]
+            solved = _normal_solve(gram, np.column_stack((xty, sigma)))
             if solved is None:
                 return None
             u, w = solved.T
@@ -244,7 +280,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             cand[S] = u
             cand = project_l1_ball(cand, radius)
             d = cand[S] - b[S]
-            Xd = XS @ d
+            Xd = _support_product(X, S, d)
             delta = float(g[S] @ d) + float(Xd @ Xd) / n
             r_new = r + Xd
             cert = cert_residual(cand, gradient(r_new))

@@ -230,7 +230,7 @@ class TestRunTrial:
             alone = run_trial(spec, (rec.n, _rep_of(spec, rec)), rec.estimator)
             assert _without_runtime(alone) == _without_runtime(rec)
 
-    def test_fresh_signal_per_trial_differs(self):
+    def test_fresh_signal_per_rep_differs(self):
         spec = smoke_spec(p=60, s=3, fresh_signal=True, link="sign")
         a = run_trial(spec, (50, 0), "lasso")
         b = run_trial(spec, (50, 1), "lasso")

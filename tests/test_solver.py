@@ -121,9 +121,39 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError, match="overflow"):
             lipschitz_estimate(np.diag([1e200, 1e200]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_named(self, bad, scale):
+        # the non-finite start is the only finiteness check fit_lasso makes
+        # of X, so its message must name the bad entries, not an overflow,
+        # even where the finite columns' squares overflow too (scale 1e200)
+        X = np.diag([scale, scale, 1.0])
+        X[2, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite") as info:
+            lipschitz_estimate(X)
+        assert "overflow" not in str(info.value)
+
 
 def _dataset(X, y):
     return Dataset(X=X, y=np.asarray(y, float))
+
+
+def _prefix_view():
+    """The first 3000 rows of a column-major 3100 x 1200 logistic draw."""
+    sig = make_signal(1200, 10, "random", seed=9)
+    full = generate_dataset(sig, 3100, LOGISTIC, seed=10)
+    return _dataset(full.X[:3000], full.y[:3000])
+
+
+def _traced_fit(data, radius):
+    """fit_lasso's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        fit = fit_lasso(data, radius=radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return fit, peak
 
 
 class TestFitLasso:
@@ -228,21 +258,24 @@ class TestFitLasso:
                 assert a == b, name
 
     def test_column_major_prefix_view_is_fitted_in_place(self):
-        # a sweep fits the first n rows of its rep's column-major draw
-        sig = make_signal(1200, 10, "random", seed=9)
-        full = generate_dataset(sig, 3100, LOGISTIC, seed=10)
-        view = _dataset(full.X[:3000], full.y[:3000])
+        # a sweep fits the first n rows of its rep's column-major draw; the
+        # fit makes no n x p temporary and gathers X_S one row block at a time
+        view = _prefix_view()
         assert not view.X.flags.f_contiguous and view.X.strides[0] == view.X.itemsize
-        tracemalloc.start()
-        try:
-            fit = fit_lasso(view, radius=np.sqrt(10))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        fit, peak = _traced_fit(view, np.sqrt(10))
         assert fit.converged
-        assert peak < view.X.nbytes, (peak, view.X.nbytes)
+        assert peak < view.X.nbytes / 8, (peak, view.X.nbytes)
         copied = fit_lasso(_dataset(np.asfortranarray(view.X), view.y), radius=np.sqrt(10))
         np.testing.assert_allclose(fit.beta_hat, copied.beta_hat, rtol=0, atol=1e-12)
+
+    def test_wide_support_fit_stays_under_half_the_design(self):
+        # at radius 10 the support holds hundreds of columns: a whole n x |S|
+        # gather of them would take most of the design's own size
+        view = _prefix_view()
+        fit, peak = _traced_fit(view, 10.0)
+        assert fit.converged
+        assert np.count_nonzero(fit.beta_hat) > 300
+        assert peak < view.X.nbytes / 2, (peak, view.X.nbytes)
 
     def test_singular_support(self):
         # two equal columns share the weight, so X_S'X_S is singular; the fit

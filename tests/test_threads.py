@@ -1,5 +1,6 @@
-"""Tests for the one-BLAS-thread setting that `import sixlasso` makes, and for
-records that do not depend on the BLAS thread count.
+"""Tests for the one-BLAS-thread setting that `import sixlasso` makes, for
+records that do not depend on the BLAS thread count, and for the pool's
+modules staying unloaded until a pool runs.
 
 Each case runs in a fresh interpreter: the pytest process may have imported
 numpy before sixlasso, and then its BLAS keeps whatever threads it started.
@@ -59,6 +60,13 @@ class TestBlasPin:
         probe = json.loads(run_python(["-c", PROBE], fresh_env(OPENBLAS_NUM_THREADS="2")))
         assert probe["env"]["OPENBLAS_NUM_THREADS"] == "2"
         assert probe["env"]["OMP_NUM_THREADS"] == "1"
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # a serial sweep, fit, lambda and simulate never start a pool
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    probe = "import sys, sixlasso.cli; print(sorted(set(%r) & set(sys.modules)))"
+    assert run_python(["-c", probe % (pool_modules,)], fresh_env()).strip() == "[]"
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):
