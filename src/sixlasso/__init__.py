@@ -54,7 +54,6 @@ from .model import (
     LinkFunction,
     TrueSignal,
     compute_lambda,
-    compute_lambda_mc,
     generate_dataset,
     get_link,
     link_mean,

@@ -1,5 +1,10 @@
 """Command-line entry point: lambda, fit, simulate, sweep.
 
+`lambda --link L` prints the link constant E[F(Z)Z] and takes no other
+flag.  A `sweep --config` file takes the keys of the sweep's flags plus
+test_n, which has no flag.  An unknown flag, or an unknown config key, is
+an input error (exit 2).
+
 Owns the on-disk formats: the records/summary CSV schemas, the plain-text
 fit document, and the static SVG error chart.  Real numbers are serialized
 with 17 significant digits so that write -> parse -> write is the identity
@@ -62,7 +67,6 @@ from .model import (
     BUILTIN_LINKS,
     Dataset,
     compute_lambda,
-    compute_lambda_mc,
     generate_dataset,
     get_link,
     make_signal,
@@ -349,15 +353,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(text.split(","))
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes"):
-        return True
-    if text.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 # The sweep settings that make up its SweepSpec: config key -> (conversion,
@@ -367,10 +363,9 @@ _SPEC_SETTINGS = {
     "p": (int, None), "s": (int, None), "n_grid": (_parse_int_list, None),
     "link": (str, tuple(BUILTIN_LINKS)), "radius_rule": (str, RADIUS_RULES),
     "radius": (float, None), "reps": (int, None), "seed": (int, None),
-    "signal_mode": (str, None), "estimators": (_parse_names, None),
-    "test_n": (int, None), "fresh_signal": (_parse_bool, None),
+    "estimators": (_parse_names, None), "test_n": (int, None),
 }
-_CONFIG_ONLY = ("signal_mode", "test_n", "fresh_signal")
+_CONFIG_ONLY = ("test_n",)
 # the SweepSpec fields named otherwise than their config keys
 _SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed"}
 _SWEEP_SETTINGS = {**_SPEC_SETTINGS, "max_iter": (int, None), "out": (str, None),
@@ -383,15 +378,7 @@ SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 # ---------------------------------------------------------------------------
 
 def cmd_lambda(args) -> int:
-    link = get_link(args.link)
-    budget = {} if args.budget is None else {"budget": args.budget}
-    if args.method == "mc":
-        value, stderr = compute_lambda_mc(link, seed=args.seed, **budget)
-        print(fmt_real(value))
-        print(fmt_real(stderr))
-    else:
-        value = compute_lambda(link, **budget)
-        print(fmt_real(value))
+    print(fmt_real(compute_lambda(get_link(args.link))))
     return 0
 
 
@@ -514,12 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lambda = sub.add_parser("lambda", help="print the link constant E[F(Z)Z]")
     p_lambda.add_argument("--link", required=True, choices=links)
-    p_lambda.add_argument("--method", default="quadrature", choices=["quadrature", "mc"])
-    p_lambda.add_argument("--budget", type=int, default=None,
-                          help="Gauss-Hermite nodes for the logistic link (default 64, "
-                               "32 to 256; the other links are exact); samples for "
-                               "--method mc (default 1000000, at least 10000)")
-    p_lambda.add_argument("--seed", type=int, default=0)
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_fit = sub.add_parser("fit", help="fit the l1-ball least-squares estimator to CSV data")

@@ -5,7 +5,8 @@ so records are reproducible bit-for-bit no matter how (or whether) trials
 are parallelized.  Each rep draws one nested training set of n_max =
 max(n_grid) rows and one held-out set; cell (n, rep) fits the first n rows,
 so every estimator and every n of a rep sees the same draws (common random
-numbers across estimators and along the n axis).  A rep's cells run n
+numbers across estimators and along the n axis).  One signal, drawn once
+per sweep from its own seed stream, serves every rep.  A rep's cells run n
 descending, and the pool takes a whole rep as one task, where
 generate_dataset's two kept draws let every cell reuse the rep's two sets.
 
@@ -20,6 +21,7 @@ in the last digit.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from dataclasses import dataclass, fields
@@ -37,7 +39,6 @@ from .metrics import (
     support_metrics,
 )
 from .model import (
-    RANDOM_MAGNITUDE,
     Dataset,
     TrueSignal,
     compute_lambda,
@@ -70,6 +71,14 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float or other non-integer is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid definition for one Monte Carlo sweep.
@@ -78,8 +87,10 @@ class SweepSpec:
     effective-sparsity radius), "two_sqrt_s_over_lambda", "raw_s" (s), or
     "explicit" with radius_value.  estimators are canonicalized to
     ("lasso", "pv") order so that trial ids do not depend on input order.
-    The signal is drawn once per sweep by default; set fresh_signal for a
-    new signal every rep, which every cell and estimator of the rep shares.
+    One s-sparse random-magnitude signal, drawn from the base seed, serves
+    every trial of the sweep.  p, s, reps, base_seed, test_n and the n_grid
+    entries must be integers (numpy integers included); a float such as
+    50.7 is a ValueError, not truncated.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -95,13 +106,14 @@ class SweepSpec:
     radius_value: float | None = None
     reps: int = 10
     base_seed: int = 0
-    signal_mode: str = RANDOM_MAGNITUDE
     estimators: tuple[str, ...] = ("lasso",)
     test_n: int = 10_000
-    fresh_signal: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for name in ("p", "s", "reps", "base_seed", "test_n"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "n_grid", tuple(_integer("n_grid entry", n)
+                                                 for n in self.n_grid))
         requested = tuple(self.estimators)
         unknown = set(requested) - set(ESTIMATORS)
         if unknown:
@@ -210,16 +222,8 @@ def resolve_radius(spec: SweepSpec) -> float:
 
 
 def sweep_signal(spec: SweepSpec) -> TrueSignal:
-    """The sweep-level signal (used by every trial unless fresh_signal is set)."""
-    return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(spec.base_seed))
-
-
-def rep_signal(spec: SweepSpec, rep: int) -> TrueSignal:
-    """The signal of repetition `rep`: the sweep signal, or with
-    fresh_signal one drawn from the rep's own signal stream."""
-    if spec.fresh_signal:
-        return make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(rep_seed(spec, rep)))
-    return sweep_signal(spec)
+    """The signal of the sweep, which every trial scores against."""
+    return make_signal(spec.p, spec.s, signal_seed(spec.base_seed))
 
 
 def _failed_metrics(lam: float) -> TrialMetrics:
@@ -239,10 +243,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
               max_iter: int = MAX_ITER, *, signal: TrueSignal | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
-    cell is (n, rep_index).  signal (the rep's, rep_signal) may be passed in
-    so that the trials of a rep share one signal object, and with it their
-    kept draws; when omitted it is rebuilt from the spec, so the result is a
-    pure function of (spec, cell, estimator, max_iter).
+    cell is (n, rep_index).  signal (the sweep's, sweep_signal) may be
+    passed in so that the trials share one signal object, and a rep's
+    trials with it their kept draws; when omitted it is rebuilt from the
+    spec, so the result is a pure function of (spec, cell, estimator,
+    max_iter).
     The trial fits the first n rows of its rep's draw, seeded by
     rep_seed(spec, rep), and is scored on the rep's held-out set (see the
     module docstring); the draws are read-only.
@@ -264,7 +269,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     lam = resolve_lambda(spec)
     radius = resolve_radius(spec)
     if signal is None:
-        signal = rep_signal(spec, rep)
+        signal = sweep_signal(spec)
 
     link = get_link(spec.link)
     drawn = generate_dataset(signal, spec.n_grid[-1], link, seed)
@@ -305,9 +310,9 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _run_rep(spec: SweepSpec, max_iter: int, rep: int) -> list[TrialRecord]:
+def _run_rep(spec: SweepSpec, max_iter: int, signal: TrueSignal,
+             rep: int) -> list[TrialRecord]:
     """Every trial of repetition `rep`, n descending: one pool task."""
-    signal = rep_signal(spec, rep)
     return [run_trial(spec, (n, rep), est, max_iter, signal=signal)
             for n in reversed(spec.n_grid) for est in spec.estimators]
 
@@ -327,6 +332,7 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     a pool of k spawned worker processes, whose BLAS runs on one thread).
     Output is always sorted by trial_id and is identical, runtime_ms aside,
     whichever way the trials were scheduled (see the module docstring).
+    The sweep's signal is drawn once, here, and handed to every rep.
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
     each rep is one pool task, so a rep's trials run in one worker and
@@ -340,7 +346,7 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     workers = _thread_budget()
-    task = partial(_run_rep, spec, max_iter)
+    task = partial(_run_rep, spec, max_iter, sweep_signal(spec))
     if workers >= 2:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

@@ -52,19 +52,16 @@ def norm_gap(beta_hat: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(np.asarray(beta_hat, dtype=float)) - lam)
 
 
-def support_metrics(beta_hat: np.ndarray, signal: TrueSignal,
-                    threshold: float | None = None) -> tuple[float, float]:
-    """Precision and recall of {j : |beta_hat_j| > threshold} against the true support.
+def support_metrics(beta_hat: np.ndarray, signal: TrueSignal) -> tuple[float, float]:
+    """Precision and recall of {j : |beta_hat_j| > 1e-6 max|beta_hat|}
+    against the true support.
 
-    threshold=None uses 1e-6 * max|beta_hat|, which only strips numerical
-    dust (the projection already produces exact zeros).  An empty estimated
-    support counts as precision 1.
+    The threshold only strips numerical dust (the projection already
+    produces exact zeros).  An empty estimated support counts as
+    precision 1.
     """
     bh = np.asarray(beta_hat, dtype=float)
-    if threshold is None:
-        threshold = 1e-6 * float(np.max(np.abs(bh))) if bh.size else 0.0
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    threshold = 1e-6 * float(np.max(np.abs(bh))) if bh.size else 0.0
     est = set(np.nonzero(np.abs(bh) > threshold)[0].tolist())
     true = set(np.asarray(signal.support).tolist())
     hit = len(est & true)

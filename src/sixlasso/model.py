@@ -4,7 +4,9 @@ The data model is binary single-index: x ~ N(0, I_p) and the conditional
 mean of the +-1 response is E[y|x] = F(x'beta), where F maps the index to
 [-1, 1].  The four built-in links (linear, logistic, probit and sign) are
 the whole link model.  Each is odd and nondecreasing, so F(z)z >= 0 for
-every z and the link constant is positive.
+every z and the link constant is positive.  The link constant is exact
+for linear, probit and sign, and a fixed 64-node Gauss-Hermite rule for
+logistic.  A signal is s-sparse and unit-norm, with normal magnitudes.
 
 The package's only runtime dependency is numpy.  The Gaussian special
 function the probit link needs, erf, comes from the standard library's math
@@ -23,8 +25,9 @@ from .errors import InvalidSparsity
 
 LINK_KINDS = ("linear", "logistic", "probit", "sign")
 
-EQUAL_MAGNITUDE = "equal"
-RANDOM_MAGNITUDE = "random"
+# Gauss-Hermite nodes of the logistic link constant: 256 nodes print the
+# same 17 digits
+_HERMITE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -93,71 +96,42 @@ def link_mean(link: LinkFunction, t):
 
 
 @cache
-def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # building the rule costs more than a sweep trial's other set-up: build it once
-    u, w = np.polynomial.hermite.hermgauss(nodes)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    # building the rule costs more than a sweep trial's other set-up: build it
+    # once, and only when the logistic link first needs it
+    u, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
-def _lambda_gauss_hermite(link: LinkFunction, nodes: int) -> float:
+def _lambda_gauss_hermite(link: LinkFunction) -> float:
     # E[F(Z)Z] with Z ~ N(0,1): substitute z = sqrt(2) u against weight e^{-u^2}.
-    u, w = _hermite_rule(nodes)
+    u, w = _hermite_rule()
     z = np.sqrt(2.0) * u
     return float(np.sum(w * link_mean(link, z) * z) / np.sqrt(np.pi))
 
 
-def compute_lambda(link: LinkFunction, budget: int = 64) -> float:
+def compute_lambda(link: LinkFunction) -> float:
     """Compute the link constant lambda = E[F(Z)Z], Z ~ N(0,1).
 
-    Only the logistic link uses quadrature: Gauss-Hermite with `budget`
-    nodes under z = sqrt(2) u.  Every other link has a closed form by
-    Stein's identity E[F(Z)Z] = E[F'(Z)] (Stein 1981): linear has F' = 1,
-    giving 1; probit has F' = 2 phi, giving 2 E[phi(Z)] = 1/sqrt(pi); sign
-    jumps by 2 at 0, giving 2 phi(0) = sqrt(2/pi), where a fixed-node rule
-    would stall at ~1e-3 accuracy.  The budget must lie in 32..256 for
-    every link, checked before any rule is built: the rule's weights
-    overflow from 371 nodes on, and hermgauss builds a dense budget-by-budget
-    matrix.  The Monte Carlo cross-check is compute_lambda_mc.
+    Only the logistic link uses quadrature: the 64-node Gauss-Hermite rule
+    under z = sqrt(2) u.  Every other link has a closed form by Stein's
+    identity E[F(Z)Z] = E[F'(Z)] (Stein 1981): linear has F' = 1, giving 1;
+    probit has F' = 2 phi, giving 2 E[phi(Z)] = 1/sqrt(pi); sign jumps by 2
+    at 0, giving 2 phi(0) = sqrt(2/pi), where a fixed-node rule would stall
+    at ~1e-3 accuracy.  The tests cross-check every link against Monte
+    Carlo and adaptive integration.
 
     Every link is odd and nondecreasing, so F(z)z >= 0 for every z and
     lambda > 0, as the estimator theory needs.
     """
-    if not 32 <= budget <= 256:
-        raise ValueError(f"quadrature budget must be 32 to 256 nodes, got {budget}")
     if link.kind == "linear":
         return 1.0
     if link.kind == "probit":
         return float(1.0 / np.sqrt(np.pi))
     if link.kind == "sign":
         return float(np.sqrt(2.0 / np.pi))
-    return _lambda_gauss_hermite(link, budget)
-
-
-_MC_CHUNK = 1 << 20
-
-
-def compute_lambda_mc(link: LinkFunction, budget: int = 1_000_000,
-                      seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of lambda with its standard error.
-
-    This is the independent cross-check for the quadrature path; it is never
-    the default.  Returns (estimate, stderr).  The samples are drawn and
-    summed in chunks of 2^20, so memory does not grow with the budget; the
-    chunks continue one stream, so the draws are those of a single call.
-    """
-    if budget < 10_000:
-        raise ValueError("Monte Carlo budget must be >= 10000 samples")
-    rng = np.random.default_rng(seed)
-    total = sumsq = 0.0
-    for start in range(0, budget, _MC_CHUNK):
-        z = rng.standard_normal(min(_MC_CHUNK, budget - start))
-        v = link_mean(link, z) * z
-        total += float(v.sum())
-        sumsq += float(v @ v)  # single-pass second moment
-    mean = total / budget
-    var = max(sumsq - budget * mean * mean, 0.0) / (budget - 1)
-    return mean, float(np.sqrt(var / budget))
+    return _lambda_gauss_hermite(link)
 
 
 @dataclass(frozen=True)
@@ -181,27 +155,21 @@ class TrueSignal:
         return self.support.size
 
 
-def make_signal(p: int, s: int, mode: str = RANDOM_MAGNITUDE, seed: int = 0) -> TrueSignal:
+def make_signal(p: int, s: int, seed: int = 0) -> TrueSignal:
     """Draw an s-sparse unit-norm signal with uniformly random support.
 
-    mode="equal": each nonzero is +-1/sqrt(s) with random signs.
-    mode="random": nonzeros are i.i.d. standard normal, then normalized.
+    The nonzeros are i.i.d. standard normal, then normalized, so their
+    magnitudes are random.
     """
     if s < 1 or s > p:
         raise InvalidSparsity(f"need 1 <= s <= p, got s={s}, p={p}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(p, size=s, replace=False))
     beta = np.zeros(p)
-    if mode == EQUAL_MAGNITUDE:
-        signs = np.where(rng.random(s) < 0.5, -1.0, 1.0)
-        beta[support] = signs / np.sqrt(s)
-    elif mode == RANDOM_MAGNITUDE:
+    vals = rng.standard_normal(s)
+    while np.linalg.norm(vals) == 0.0:  # never in practice; keeps the contract total
         vals = rng.standard_normal(s)
-        while np.linalg.norm(vals) == 0.0:  # never in practice; keeps the contract total
-            vals = rng.standard_normal(s)
-        beta[support] = vals / np.linalg.norm(vals)
-    else:
-        raise ValueError(f"unknown signal mode {mode!r}; expected 'equal' or 'random'")
+    beta[support] = vals / np.linalg.norm(vals)
     return TrueSignal(beta=beta, support=support)
 
 

@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import oracle_lasso_small, oracle_project_l1, oracle_sphere_lasso
+from oracles import (
+    compute_lambda_mc,
+    oracle_lasso_small,
+    oracle_project_l1,
+    oracle_sphere_lasso,
+)
 from sixlasso import (
     LINEAR,
     LOGISTIC,
@@ -20,7 +25,6 @@ from sixlasso import (
     SIGN,
     SweepSpec,
     compute_lambda,
-    compute_lambda_mc,
     fit_lasso,
     generate_dataset,
     lipschitz_estimate,
@@ -39,7 +43,6 @@ FIGURE1_SPEC = SweepSpec(
     radius_rule="sqrt_s",
     reps=10,
     base_seed=20240810,
-    signal_mode="random",
     estimators=("lasso", "pv"),
 )
 
@@ -70,10 +73,10 @@ def _median(records, estimator, n, field):
 
 def test_criterion_1_link_constants():
     start = time.perf_counter()
-    lam_linear = compute_lambda(LINEAR, budget=64)
-    lam_sign = compute_lambda(SIGN, budget=64)
-    lam_probit = compute_lambda(PROBIT, budget=64)
-    lam_logistic = compute_lambda(LOGISTIC, budget=64)
+    lam_linear = compute_lambda(LINEAR)
+    lam_sign = compute_lambda(SIGN)
+    lam_probit = compute_lambda(PROBIT)
+    lam_logistic = compute_lambda(LOGISTIC)
     mc_value, mc_se = compute_lambda_mc(LOGISTIC, budget=10_000_000, seed=1)
     elapsed = time.perf_counter() - start
 
@@ -126,7 +129,7 @@ def test_criterion_3_solver_optimality():
         n = int(rng.integers(30, 61))
         s = int(rng.integers(1, p + 1))
         radius = float(rng.uniform(0.5, 1.2))
-        signal = make_signal(p, s, "random", seed=1000 + trial)
+        signal = make_signal(p, s, seed=1000 + trial)
         data = generate_dataset(signal, n, LOGISTIC, seed=2000 + trial)
         fit = fit_lasso(data, radius)
         _, oracle_obj = oracle_lasso_small(data, radius, step)
@@ -184,7 +187,7 @@ def test_criterion_6_sphere_program_agreement():
         for n in (100, 5000):
             gaps = []
             for seed in range(20):
-                signal = make_signal(2, s, "random", seed=1000 + seed)
+                signal = make_signal(2, s, seed=1000 + seed)
                 data = generate_dataset(signal, n, LOGISTIC, seed=2000 + seed)
                 unit_fit, _ = oracle_sphere_lasso(data, 2.0 * np.sqrt(s) / lam, 1.0, step)
                 scaled_fit, _ = oracle_sphere_lasso(data, np.sqrt(s), k, step)
@@ -204,7 +207,7 @@ def test_criterion_7_moment_identity():
     details = []
     for link in (LINEAR, LOGISTIC, PROBIT, SIGN):
         lam = compute_lambda(link)
-        signal = make_signal(5, 2, "random", seed=70)
+        signal = make_signal(5, 2, seed=70)
         data = generate_dataset(signal, 100_000, link, seed=71)
         emp = (data.y[:, None] * data.X).mean(axis=0)
         dev = float(np.linalg.norm(emp - lam * signal.beta))

@@ -30,7 +30,7 @@ RADIUS = np.sqrt(10.0)
 
 @pytest.fixture(scope="module")
 def signal():
-    return make_signal(P, 10, "random", seed=1)
+    return make_signal(P, 10, seed=1)
 
 
 def test_project_l1_ball(benchmark):

@@ -35,9 +35,7 @@ from sixlasso.experiments import (
     _TEST_TAG,
     _failed_metrics,
     rep_seed,
-    rep_signal,
     resolve_radius,
-    signal_seed,
     sweep_signal,
     trial_id_for,
 )
@@ -113,6 +111,21 @@ class TestSweepSpecValidation:
         for rule in ("sqrt_s", "two_sqrt_s_over_lambda", "raw_s"):
             with pytest.raises(ValueError, match="explicit"):
                 smoke_spec(radius_rule=rule, radius_value=0.01)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_grid", (50.7, 100)), ("n_grid", (50, 100.0)), ("reps", 2.5),
+        ("test_n", 10.5), ("p", 10.5), ("s", 2.0), ("reps", "2"), ("base_seed", 1.5),
+    ])
+    def test_non_integral_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            smoke_spec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = smoke_spec(p=np.int64(10), s=np.int32(2), reps=np.int64(2),
+                          test_n=np.int64(300), n_grid=np.array([50, 100]))
+        assert spec == smoke_spec()
+        assert all(type(v) is int for v in (spec.p, spec.s, spec.reps, spec.test_n,
+                                            *spec.n_grid))
 
 
 class TestRadiusRules:
@@ -230,12 +243,6 @@ class TestRunTrial:
             alone = run_trial(spec, (rec.n, _rep_of(spec, rec)), rec.estimator)
             assert _without_runtime(alone) == _without_runtime(rec)
 
-    def test_fresh_signal_per_rep_differs(self):
-        spec = smoke_spec(p=60, s=3, fresh_signal=True, link="sign")
-        a = run_trial(spec, (50, 0), "lasso")
-        b = run_trial(spec, (50, 1), "lasso")
-        assert _without_runtime(a) != _without_runtime(b)
-
 
 class TestRunSweep:
     def test_cardinality_single_estimator(self):
@@ -348,26 +355,9 @@ class TestPairedDesign:
             assert rec.seed == seed
             assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, seed, rec.estimator)
 
-    def test_fresh_signal_cells_share_their_signal(self, monkeypatch):
+    def test_sweep_draws_one_signal_and_two_sets_per_rep(self, monkeypatch):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
-                          fresh_signal=True)
-        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
-        serial = run_sweep(spec)
-        monkeypatch.setenv("SIXLASSO_THREADS", "2")
-        pooled = run_sweep(spec)
-        assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
-        for lasso, pv in _cell_pairs(serial):
-            rep = _rep_of(spec, lasso)
-            assert pv.seed == lasso.seed == rep_seed(spec, rep)
-            signal = make_signal(spec.p, spec.s, spec.signal_mode, signal_seed(lasso.seed))
-            np.testing.assert_array_equal(rep_signal(spec, rep).beta, signal.beta)
-            for rec in (lasso, pv):
-                assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, rec.seed,
-                                                          rec.estimator)
-
-    def test_fresh_signal_sweep_draws_once_per_rep(self, monkeypatch):
-        spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
-                          fresh_signal=True, base_seed=31)
+                          base_seed=31)
         draws = []
         real = np.random.default_rng
 
@@ -380,10 +370,10 @@ class TestPairedDesign:
         monkeypatch.setattr(np.random, "default_rng", counting)
         monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
         run_sweep(spec)
-        # per rep: one signal, one training draw and one held-out draw
-        assert draws.count("make_signal") == spec.reps
+        # one signal per sweep; per rep, one training draw and one held-out draw
+        assert draws.count("make_signal") == 1
         assert draws.count("generate_dataset") == 2 * spec.reps
-        assert len(draws) == 3 * spec.reps
+        assert len(draws) == 1 + 2 * spec.reps
 
 
 def _plane_test_set(n, link, seed):
@@ -423,7 +413,7 @@ class TestPlaneScoring:
         link = get_link(name)
         rng = np.random.default_rng(41)
         p = 40
-        u = make_signal(p, 4, "random", seed=42).beta
+        u = make_signal(p, 4, seed=42).beta
         cases = [c * u for c in (1.0, 0.3, 7.0, -0.5, -4.0)]
         cases += [rng.standard_normal(p) for _ in range(6)]
         cases += [_at_correlation(u, rho, rng, 2.0) for rho in (0.999, -0.2)]
@@ -448,7 +438,7 @@ class TestPlaneScoring:
 
         link = get_link(name)
         rng = np.random.default_rng(43)
-        u = make_signal(30, 5, "random", seed=44).beta
+        u = make_signal(30, 5, seed=44).beta
         for rho in (-0.4, 0.5, 0.98):
             beta_hat = _at_correlation(u, rho, rng, 3.0)
             scores = np.array([_plane_score(beta_hat, u, _plane_test_set(10_000, link, seed))
@@ -459,7 +449,7 @@ class TestPlaneScoring:
     def test_logistic_mean_matches_full_dimensional_scoring(self):
         link = get_link("logistic")
         rng = np.random.default_rng(45)
-        sig = make_signal(30, 5, "random", seed=46)
+        sig = make_signal(30, 5, seed=46)
         for rho in (0.3, 0.9):
             beta_hat = _at_correlation(sig.beta, rho, rng, 0.7)
             plane = np.array([_plane_score(beta_hat, sig.beta,

@@ -88,53 +88,48 @@ class TestNormGap:
 class TestSupportMetrics:
     def test_perfect_recovery(self):
         sig = _signal([0.0, 0.5, -0.5, 0.0])
-        assert support_metrics(sig.beta, sig, threshold=0.0) == (1.0, 1.0)
+        assert support_metrics(sig.beta, sig) == (1.0, 1.0)
 
     def test_empty_estimate_convention(self):
         sig = _signal([0.0, 1.0])
-        assert support_metrics(np.zeros(2), sig, threshold=0.5) == (1.0, 0.0)
+        assert support_metrics(np.zeros(2), sig) == (1.0, 0.0)
 
     def test_half_right(self):
         sig = _signal([1.0, 1.0, 0.0, 0.0])  # true support {0, 1}
         est = np.array([1.0, 0.0, 1.0, 0.0])  # picks {0, 2}
-        assert support_metrics(est, sig, threshold=0.5) == (0.5, 0.5)
+        assert support_metrics(est, sig) == (0.5, 0.5)
 
     def test_default_threshold_strips_dust(self):
         sig = _signal([1.0, 0.0, 0.0])
         est = np.array([1.0, 1e-9, -1e-12])
         assert support_metrics(est, sig) == (1.0, 1.0)
 
-    def test_negative_threshold_rejected(self):
-        sig = _signal([1.0, 0.0])
-        with pytest.raises(ValueError):
-            support_metrics(sig.beta, sig, threshold=-1.0)
-
     def test_both_one_iff_exact_support(self):
         """Exhaustive over all estimated supports at p=6: precision=recall=1
-        exactly when the thresholded support equals the true support."""
+        exactly when the estimated support equals the true support."""
         p = 6
         sig = _signal([0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
         true = {1, 3}
         for bits in range(2 ** p):
             est_support = {j for j in range(p) if bits >> j & 1}
             beta_hat = np.array([1.0 if j in est_support else 0.0 for j in range(p)])
-            prec, rec = support_metrics(beta_hat, sig, threshold=0.5)
+            prec, rec = support_metrics(beta_hat, sig)
             assert (prec == 1.0 and rec == 1.0) == (est_support == true)
 
 
 class TestClassifyAccuracy:
     def test_true_direction_on_sign_data(self):
-        sig = make_signal(5, 2, "random", seed=1)
+        sig = make_signal(5, 2, seed=1)
         test = generate_dataset(sig, 500, SIGN, seed=2)
         assert classify_accuracy(sig.beta, test) == 1.0
 
     def test_flipped_direction(self):
-        sig = make_signal(5, 2, "random", seed=3)
+        sig = make_signal(5, 2, seed=3)
         test = generate_dataset(sig, 500, SIGN, seed=4)
         assert classify_accuracy(-sig.beta, test) == 0.0
 
     def test_scale_invariance_exact(self):
-        sig = make_signal(6, 3, "random", seed=5)
+        sig = make_signal(6, 3, seed=5)
         test = generate_dataset(sig, 300, SIGN, seed=6)
         rng = np.random.default_rng(7)
         beta_hat = rng.standard_normal(6)
@@ -147,7 +142,7 @@ class TestClassifyAccuracy:
         assert classify_accuracy(np.array([1.0]), data) == 1.0
 
     def test_zero_vector(self):
-        sig = make_signal(4, 1, "equal", seed=8)
+        sig = make_signal(4, 1, seed=8)
         test = generate_dataset(sig, 50, SIGN, seed=9)
         with pytest.raises(ZeroVector):
             classify_accuracy(np.zeros(4), test)

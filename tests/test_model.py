@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 from scipy.stats import norm
 
+from oracles import compute_lambda_mc
 from sixlasso import (
     LINEAR,
     LOGISTIC,
@@ -18,7 +19,6 @@ from sixlasso import (
     InvalidSparsity,
     LinkFunction,
     compute_lambda,
-    compute_lambda_mc,
     generate_dataset,
     get_link,
     link_mean,
@@ -89,15 +89,15 @@ class TestLinkLookup:
 
 class TestComputeLambda:
     def test_linear_is_one(self):
-        assert compute_lambda(LINEAR, budget=64) == pytest.approx(1.0, abs=1e-12)
+        assert compute_lambda(LINEAR) == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_closed_form(self):
         # E[sign(Z) Z] = E|Z| = sqrt(2/pi)
-        assert compute_lambda(SIGN, budget=64) == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-8)
+        assert compute_lambda(SIGN) == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-8)
 
     def test_probit_closed_form(self):
         # Stein: E[F(Z)Z] = E[F'(Z)] = 2 E[phi(Z)] = 1/sqrt(pi)
-        assert compute_lambda(PROBIT, budget=64) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-8)
+        assert compute_lambda(PROBIT) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-8)
 
     def test_linear_and_probit_are_exact(self):
         # Stein: linear has F' = 1; probit has F' = 2 phi, so 2 E[phi(Z)] = 1/sqrt(pi)
@@ -105,7 +105,7 @@ class TestComputeLambda:
         assert compute_lambda(PROBIT) == 1.0 / np.sqrt(np.pi)
 
     def test_logistic_value(self):
-        assert compute_lambda(LOGISTIC, budget=64) == pytest.approx(0.4132, abs=1e-3)
+        assert compute_lambda(LOGISTIC) == pytest.approx(0.4132, abs=1e-3)
 
     @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
     def test_adaptive_quadrature_agrees(self, link):
@@ -117,8 +117,7 @@ class TestComputeLambda:
         edges = [-40.0, 0.0, 40.0]
         parts = [quad(integrand, a, b, limit=200) for a, b in zip(edges[:-1], edges[1:])]
         assert sum(err for _, err in parts) < 1e-7  # scipy's estimate is conservative
-        assert compute_lambda(link, budget=64) == pytest.approx(sum(v for v, _ in parts),
-                                                                abs=1e-8)
+        assert compute_lambda(link) == pytest.approx(sum(v for v, _ in parts), abs=1e-8)
 
     @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
     def test_quadrature_mc_agreement(self, link):
@@ -140,82 +139,63 @@ class TestComputeLambda:
 
     def test_budget_floors(self):
         with pytest.raises(ValueError):
-            compute_lambda(LOGISTIC, budget=16)
-        with pytest.raises(ValueError):
             compute_lambda_mc(LOGISTIC, budget=100)
-
-    @pytest.mark.parametrize("budget", [257, 500])
-    @pytest.mark.parametrize("link", ALL_LINKS, ids=lambda l: l.kind)
-    def test_budget_above_256_is_rejected(self, link, budget):
-        # from 371 nodes on the logistic rule's weights overflow (0 or nan);
-        # the ceiling holds for every link, as the floor does
-        with pytest.raises(ValueError, match="32 to 256"):
-            compute_lambda(link, budget=budget)
 
 
 class TestMakeSignal:
-    def test_full_support_equal_magnitude(self):
-        sig = make_signal(5, 5, "equal", seed=3)
-        np.testing.assert_allclose(np.abs(sig.beta), 1.0 / np.sqrt(5.0))
-        assert np.linalg.norm(sig.beta) == pytest.approx(1.0, abs=1e-12)
-
     def test_paper_scale_random_magnitude(self):
-        sig = make_signal(1200, 10, "random", seed=42)
+        sig = make_signal(1200, 10, seed=42)
         assert np.count_nonzero(sig.beta) == 10
         assert np.linalg.norm(sig.beta) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(sig.beta).sum() <= np.sqrt(10.0) + 1e-12
 
     def test_single_spike(self):
-        sig = make_signal(3, 1, "equal", seed=0)
+        sig = make_signal(3, 1, seed=0)
         assert np.count_nonzero(sig.beta) == 1
         assert abs(sig.beta[sig.support[0]]) == pytest.approx(1.0)
 
     def test_support_matches_nonzeros(self):
-        sig = make_signal(40, 7, "random", seed=11)
+        sig = make_signal(40, 7, seed=11)
         np.testing.assert_array_equal(np.nonzero(sig.beta)[0], sig.support)
 
     def test_invalid_sparsity(self):
         with pytest.raises(InvalidSparsity):
-            make_signal(5, 0, "equal", seed=0)
+            make_signal(5, 0, seed=0)
         with pytest.raises(InvalidSparsity):
-            make_signal(5, 6, "equal", seed=0)
+            make_signal(5, 6, seed=0)
 
     def test_deterministic(self):
-        a = make_signal(30, 4, "random", seed=5)
-        b = make_signal(30, 4, "random", seed=5)
+        a = make_signal(30, 4, seed=5)
+        b = make_signal(30, 4, seed=5)
         np.testing.assert_array_equal(a.beta, b.beta)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            make_signal(5, 2, "gaussian", seed=0)
 
 
 class TestGenerateDataset:
     def test_linear_mode_is_noiseless(self):
-        sig = make_signal(8, 3, "random", seed=2)
+        sig = make_signal(8, 3, seed=2)
         data = generate_dataset(sig, 50, LINEAR, seed=9)
         np.testing.assert_array_equal(data.y, data.X @ sig.beta)
 
     def test_sign_link_is_deterministic_labels(self):
-        sig = make_signal(6, 2, "equal", seed=4)
+        sig = make_signal(6, 2, seed=4)
         data = generate_dataset(sig, 200, SIGN, seed=13)
         np.testing.assert_array_equal(data.y, np.sign(data.X @ sig.beta))
 
     @pytest.mark.parametrize("link", [LOGISTIC, PROBIT, SIGN], ids=lambda l: l.kind)
     def test_binary_labels(self, link):
-        sig = make_signal(5, 2, "random", seed=1)
+        sig = make_signal(5, 2, seed=1)
         data = generate_dataset(sig, 300, link, seed=8)
         assert set(np.unique(data.y)) <= {-1.0, 1.0}
 
     def test_bit_identical_given_seed(self):
-        sig = make_signal(10, 3, "random", seed=6)
+        sig = make_signal(10, 3, seed=6)
         a = generate_dataset(sig, 100, LOGISTIC, seed=21)
         b = generate_dataset(sig, 100, LOGISTIC, seed=21)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_design_is_column_major(self):
-        sig = make_signal(40, 3, "random", seed=6)
+        sig = make_signal(40, 3, seed=6)
         data = generate_dataset(sig, 25, PROBIT, seed=2)
         assert data.X.shape == (25, 40)
         assert data.X.flags.f_contiguous
@@ -223,14 +203,14 @@ class TestGenerateDataset:
     def test_moment_identity_logistic(self):
         """E[y x] = lambda beta* under Gaussian design; the engine behind
         direction recovery."""
-        sig = make_signal(5, 2, "random", seed=17)
+        sig = make_signal(5, 2, seed=17)
         data = generate_dataset(sig, 100_000, LOGISTIC, seed=23)
         emp = (data.y[:, None] * data.X).mean(axis=0)
         lam = compute_lambda(LOGISTIC)
         assert np.linalg.norm(emp - lam * sig.beta) <= 0.02
 
     def test_rejects_empty_sample(self):
-        sig = make_signal(4, 1, "equal", seed=0)
+        sig = make_signal(4, 1, seed=0)
         with pytest.raises(ValueError):
             generate_dataset(sig, 0, LOGISTIC, seed=0)
 
@@ -239,12 +219,12 @@ class TestKeptDraws:
     """generate_dataset keeps its last two draws, read-only, and hands a kept
     draw back to an identical call."""
 
-    SIG = make_signal(10, 3, "random", seed=6)
+    SIG = make_signal(10, 3, seed=6)
     ARGS = dict(signal=SIG, n=40, link=LOGISTIC, seed=21)
 
     @staticmethod
     def _evict():
-        other = make_signal(3, 1, "equal", seed=0)
+        other = make_signal(3, 1, seed=0)
         generate_dataset(other, 2, SIGN, seed=0)
         generate_dataset(other, 3, SIGN, seed=0)
 

@@ -82,7 +82,7 @@ class TestOracleLassoSmall:
             oracle_lasso_small(_dataset(X, np.ones(5)), 1.0)
 
     def test_mutual_bound_with_solver(self):
-        sig = make_signal(2, 1, "random", seed=30)
+        sig = make_signal(2, 1, seed=30)
         data = generate_dataset(sig, 100, LOGISTIC, seed=31)
         step = 0.01
         fit = fit_lasso(data, 1.0)
@@ -97,7 +97,7 @@ class TestOracleLassoSmall:
         assert obj_o <= fit.objective + bound
 
     def test_refinement_monotone(self):
-        sig = make_signal(2, 2, "random", seed=33)
+        sig = make_signal(2, 2, seed=33)
         data = generate_dataset(sig, 50, LOGISTIC, seed=34)
         objs = [oracle_lasso_small(data, 1.0, s)[1] for s in (0.08, 0.04, 0.02)]
         assert objs[1] <= objs[0] and objs[2] <= objs[1]
@@ -143,7 +143,7 @@ class TestOracleSphereLasso:
         assert np.linalg.norm(beta - 0.5 * beta_star) <= 0.01
 
     def test_refinement_monotone(self):
-        sig = make_signal(2, 1, "random", seed=8)
+        sig = make_signal(2, 1, seed=8)
         data = generate_dataset(sig, 80, LOGISTIC, seed=9)
         objs = [oracle_sphere_lasso(data, 1.2, 1.0, s)[1] for s in (0.08, 0.04, 0.02)]
         assert objs[1] <= objs[0] and objs[2] <= objs[1]

@@ -140,7 +140,7 @@ def _dataset(X, y):
 
 def _prefix_view():
     """The first 3000 rows of a column-major 3100 x 1200 logistic draw."""
-    sig = make_signal(1200, 10, "random", seed=9)
+    sig = make_signal(1200, 10, seed=9)
     full = generate_dataset(sig, 3100, LOGISTIC, seed=10)
     return _dataset(full.X[:3000], full.y[:3000])
 
@@ -172,7 +172,7 @@ class TestFitLasso:
         assert np.linalg.norm(fit.beta_hat) <= 1e-11
 
     def test_result_invariants(self):
-        sig = make_signal(6, 2, "random", seed=5)
+        sig = make_signal(6, 2, seed=5)
         data = generate_dataset(sig, 120, LOGISTIC, seed=6)
         fit = fit_lasso(data, radius=1.0)
         assert np.abs(fit.beta_hat).sum() <= fit.radius + 1e-9
@@ -182,20 +182,20 @@ class TestFitLasso:
 
     def test_monotone_descent(self):
         for seed in range(5):
-            sig = make_signal(10, 3, "random", seed=seed)
+            sig = make_signal(10, 3, seed=seed)
             data = generate_dataset(sig, 60, LOGISTIC, seed=seed + 50)
             fit = fit_lasso(data, radius=1.2)
             assert np.all(np.diff(fit.objective_path) <= 0.0)
 
     def test_certificate_when_converged(self):
-        sig = make_signal(8, 2, "random", seed=9)
+        sig = make_signal(8, 2, seed=9)
         data = generate_dataset(sig, 200, LOGISTIC, seed=10)
         fit = fit_lasso(data, radius=1.0)
         assert fit.converged
         assert fit.fp_residual <= 1e-6
 
     def test_max_iter_reports_unconverged(self):
-        sig = make_signal(30, 5, "random", seed=3)
+        sig = make_signal(30, 5, seed=3)
         data = generate_dataset(sig, 50, LOGISTIC, seed=4)
         fit = fit_lasso(data, radius=2.0, max_iter=2)
         assert fit.iterations == 2
@@ -203,7 +203,7 @@ class TestFitLasso:
 
     def test_iterations_when_n_much_less_than_p(self):
         # the plain 1/L projected-gradient loop took 800-1500 iterations here
-        sig = make_signal(1200, 10, "random", seed=1)
+        sig = make_signal(1200, 10, seed=1)
         for seed in range(2):
             data = generate_dataset(sig, 150, PROBIT, seed=seed)
             fit = fit_lasso(data, radius=np.sqrt(10.0))
@@ -236,7 +236,7 @@ class TestFitLasso:
     def test_step_constant_ends_below_half_the_top_eigenvalue_when_n_much_less_than_p(self):
         # the curvature on the final support is a fraction of the top
         # eigenvalue of (2/n) X'X, and the adaptive L follows it, not the top
-        sig = make_signal(1200, 10, "random", seed=1)
+        sig = make_signal(1200, 10, seed=1)
         data = generate_dataset(sig, 150, PROBIT, seed=3)
         fit = fit_lasso(data, radius=np.sqrt(10.0))
         assert fit.converged
@@ -245,7 +245,7 @@ class TestFitLasso:
         assert fit.lipschitz < 0.5 * top
 
     def test_row_and_column_major_designs_fit_alike(self):
-        sig = make_signal(300, 5, "random", seed=7)
+        sig = make_signal(300, 5, seed=7)
         data = generate_dataset(sig, 80, LOGISTIC, seed=8)
         rows = fit_lasso(_dataset(np.ascontiguousarray(data.X), data.y), radius=2.0)
         cols = fit_lasso(_dataset(np.asfortranarray(data.X), data.y), radius=2.0)
