@@ -4,16 +4,19 @@ fit_lasso minimizes (1/n)||y - X beta||_2^2 subject to ||beta||_1 <= radius by
 FISTA (accelerated projected gradient, Beck & Teboulle 2009) with exact
 l1-ball projection, an adaptive backtracked step 1/L (Scheinberg, Goldfarb &
 Bai 2014) and a function-value restart (O'Donoghue & Candes 2015).  Once the
-sign pattern of the iterate settles it tries an exact finish: the
-closed-form minimizer on that support and those signs (the active-set step
-of Osborne, Presnell & Turlach 2000), from one Gram matrix X_S'X_S, tested
-positive definite by a LAPACK Cholesky factorization and solved once.  It
-has one stop rule: the gradient-mapping certificate
+sign pattern of the iterate has held for 2 iterations it tries an exact
+finish: the closed-form minimizer on that support and those signs (the
+active-set step of Osborne, Presnell & Turlach 2000), from one Gram matrix
+X_S'X_S, tested positive definite by a LAPACK Cholesky factorization and
+solved once.  A finish that fails the certificate but lowers the objective
+becomes the iterate, and the momentum restarts from it.  It has one stop
+rule: the gradient-mapping certificate
 ||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks whenever a
 step moves the iterate by at most 1e-6 and which the exact finish must
 pass.  Every product with the support columns X_S, X_S'X_S among them,
-runs over blocks of 256 rows, so a fit holds O(n + p + 256|S| + |S|^2)
-floats beside X and never gathers X_S whole.  pv_linear_fit maximizes <X'y, beta>
+runs over blocks of 256 rows (X_S'X_S through one reused |S| x |S|
+buffer), so a fit holds O(n + p + 256|S| + |S|^2) floats beside X and
+never gathers X_S whole.  pv_linear_fit maximizes <X'y, beta>
 over the intersection of an l1 ball and the unit l2 ball, the classical
 one-bit recovery baseline.
 """
@@ -30,7 +33,7 @@ from .model import Dataset
 MAX_ITER = 5000  # default iteration cap of fit_lasso, run_trial, run_sweep and the CLI
 _CERT_TOL = 1e-6
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
-_STABLE_ITERS = 5  # iterations a sign pattern holds before the exact finish is tried
+_STABLE_ITERS = 2  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
 _ROW_BLOCK = 256  # rows of X_S gathered at a time: bounds the gather, keeps it in cache
 
@@ -51,9 +54,11 @@ class FitResult:
     converged is true when the fit stopped on its own, not by running out of
     max_iter, and fp_residual <= 1e-6, the fit's only stop test;
     objective_path records the accepted objective value at every iteration,
-    plus one last entry when the exact finish ends the fit (non-increasing:
-    the restart rejects any extrapolated step that would raise it, and the
-    finish is accepted only if it does not raise it beyond rounding).
+    plus one entry for every rejected exact finish the fit adopted and one
+    last entry when an accepted exact finish ends the fit (non-increasing:
+    the restart rejects any extrapolated step that would raise it, a
+    rejected finish is adopted only if it lowers it, and an accepted one
+    may not raise it beyond rounding).
     """
 
     beta_hat: np.ndarray
@@ -172,22 +177,30 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     beta cannot raise it, so objective_path is monotone.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
-    |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows; one
-    Cholesky factorization tests that X_S'X_S is numerically positive
-    definite (no finish otherwise), and one solve against X_S'y and sigma
-    gives u and w.  If sigma'u <= radius, b = u, the least-squares
-    point on S; otherwise b = u - nu w with sigma'b = radius, the solution of
-    the KKT system [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
+    |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows, each
+    block's X_S'X_S written into one preallocated |S| x |S| buffer and
+    added from there; one Cholesky factorization tests that X_S'X_S is
+    numerically positive definite (no finish otherwise), and one solve
+    against X_S'y and sigma gives u and w.  If sigma'u <= radius, b = u,
+    the least-squares point on S; otherwise b = u - nu w with
+    sigma'b = radius, the solution of the KKT system
+    [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
     (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
     rounding.)  The finish is tried once whenever a sign pattern has held
-    for 5 iterations, and once more whenever the loop stops on its own.
+    for 2 iterations, and once more whenever the loop stops on its own.
     b is accepted only if it is finite, lies in the ball once projected
     onto it (rounding), passes the certificate, and changes the objective
     by Delta = <grad, b - beta> + (1/n)||X(b - beta)||^2 <= 1e-13 f
     (computed from X(b - beta), not as a difference of rounded
     objectives).  An accepted finish ends the fit, converged, and appends
-    its objective to objective_path.
+    its objective to objective_path.  A finish the certificate rejects
+    inside the loop is still adopted when Delta < 0 and its objective is
+    at most f: b becomes the iterate, with the residual and gradient the
+    certificate computed, its objective is appended to objective_path, the
+    momentum restarts (t = 1, z = b) and the sign pattern's age starts
+    again from 0.  The finish tried at a stop of the loop's own either
+    ends the fit or is dropped.
 
     The one stop test of the loop is the certificate fp_residual <= 1e-6
     at the new iterate, with the current L.  ||b - P(b - grad/L)|| does not
@@ -201,8 +214,11 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
 
     Memory: beyond X (and its copy, if X is row-major) a fit holds
     O(n + p + 256|S| + |S|^2) floats: n- and p-vectors, one 256-row block
-    of X_S, and X_S'X_S.  It makes no n x p temporary: the finiteness check
-    of X rides on lipschitz_estimate's column sums of squares.
+    of X_S, and two |S| x |S| arrays in the finish: X_S'X_S with the
+    buffer its blocks are written to, and then X_S'X_S with the copy the
+    solve factors (the buffer is freed before the solve).  It makes no
+    n x p temporary: the finiteness check of X rides on
+    lipschitz_estimate's column sums of squares.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
@@ -255,18 +271,25 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         return float(np.linalg.norm(b - project_l1_ball(b - g / L, radius)))
 
     def exact_finish(b, r, g, fb):
-        """(beta, objective, certificate) of the accepted exact minimizer on
-        b's support and signs, or None."""
+        """The exact minimizer on b's support and signs, projected onto the
+        ball, as (accepted, beta, residual, gradient, objective,
+        certificate), or None.  accepted is true when it passes the
+        certificate and the objective test; a rejected one comes back only
+        if it lowers the objective, for the loop to adopt."""
         S = np.flatnonzero(b)
         if not 0 < S.size <= n:
             return None
         sigma = np.sign(b[S])
         gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
+        tmp = np.empty_like(gram)  # each block's X_S'X_S, added to gram
         with np.errstate(all="ignore"):
             for i in range(0, n, _ROW_BLOCK):
                 block = X[i:i + _ROW_BLOCK, S]
-                gram += block.T @ block
+                np.matmul(block.T, block, out=tmp)
+                gram += tmp
                 xty += block.T @ y[i:i + _ROW_BLOCK]
+                del block  # the next gather then does not overlap it
+            del tmp  # the solve's LU copy takes its place
             solved = _normal_solve(gram, np.column_stack((xty, sigma)))
             if solved is None:
                 return None
@@ -283,12 +306,16 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             Xd = _support_product(X, S, d)
             delta = float(g[S] @ d) + float(Xd @ Xd) / n
             r_new = r + Xd
-            cert = cert_residual(cand, gradient(r_new))
+            g_new = gradient(r_new)
+            cert = cert_residual(cand, g_new)
+        f_new = float(r_new @ r_new) / n
         if cert <= _CERT_TOL and delta <= _FINISH_SLACK * fb:
             # fb + delta cancels to rounding (even below 0) where the fit
             # interpolates; the new residual does not, and the cap at fb
             # keeps objective_path monotone when delta > 0 by rounding
-            return cand, min(float(r_new @ r_new) / n, fb), cert
+            return True, cand, r_new, g_new, min(f_new, fb), cert
+        if delta < 0.0 and f_new <= fb:
+            return False, cand, r_new, g_new, f_new, cert
         return None
 
     beta = np.zeros(p)
@@ -301,8 +328,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
     signs, stable = np.zeros(p), 0  # sign pattern of beta, and its age in iterations
     fp_residual = None  # certificate at beta, once computed
-    stopped = False
-    finished = None
+    stopped = finished = False
     for iterations in range(1, max_iter + 1):
         L *= _STEP_SHRINK
         candidate, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
@@ -330,23 +356,31 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         stable = stable + 1 if np.array_equal(new_signs, signs) else 0
         signs = new_signs
         if stable == _STABLE_ITERS:
-            finished = exact_finish(beta, resid, grad, f)
-            if finished is not None:
-                stopped = True
-                break
+            finish = exact_finish(beta, resid, grad, f)
+            if finish is not None:
+                finished, beta, resid, grad, f, fp_residual = finish
+                path.append(f)
+                if finished:
+                    stopped = True
+                    break
+                # adopt the rejected finish, which lowers the objective, and
+                # restart the momentum from it
+                signs, stable = np.sign(beta), 0
+                t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
+                continue
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_next
         t = t_next
         z = beta + mom * (beta - beta_prev)
         z_resid = resid + mom * (resid - resid_prev)
         z_grad = grad + mom * (grad - grad_prev)
-    if stopped and finished is None:
+    if stopped and not finished:
         # every stop of the loop's own tries the finish: a stop on a rounding
         # rise can come one iteration earlier on (cX, cy) than on (X, y)
-        finished = exact_finish(beta, resid, grad, f)
-    if finished is not None:
-        beta, f, fp_residual = finished
-        path.append(f)
+        finish = exact_finish(beta, resid, grad, f)
+        if finish is not None and finish[0]:
+            finished, beta, resid, grad, f, fp_residual = finish
+            path.append(f)
     if fp_residual is None:
         fp_residual = cert_residual(beta, grad)
 

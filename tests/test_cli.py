@@ -120,26 +120,31 @@ class TestFitCommand:
 
     def test_reports_lipschitz_after_fp_residual(self, tmp_path, capsys):
         # (2/2) X'X = diag(9, 1): L starts at its largest diagonal entry, 9.
-        # Each of the 6 iterations first multiplies L by 0.8.  The first
-        # tries of iterations 1 and 4 meet a curvature of 8.40 and 8.45 along
-        # their move, above L = 7.2 and 7.37, so they fail the
-        # sufficient-decrease test and double L: it ends at 9 * 0.8^6 * 2^2
+        # Each of the 3 iterations first multiplies L by 0.8.  Iteration 1
+        # tries 0 - grad/7.2 = (5/12, 5/36), projects it onto the ball of
+        # radius 0.5 at (7/18, 1/9), and meets a curvature of 8.40 along that
+        # move, above L = 7.2: the sufficient-decrease test fails and L
+        # doubles to 14.4.  Iterations 2 and 3 run at L = 11.52 and 9.216,
+        # at least the top curvature 9, so they cannot fail.  The signs
+        # (+, +) have then held for 2 iterations, and the exact finish, the
+        # minimizer (1/4, 1/4) on the face beta_1 + beta_2 = 0.5, passes
+        # the certificate and ends the fit: L ends at 9 * 0.8^3 * 2
         code, out = self._fit_diag_9_1(tmp_path, capsys)
         assert code == 0
         lines = out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("fp_residual = "))
         name, value = lines[at + 1].split(" = ")
         assert name == "lipschitz"
-        assert float(value) == pytest.approx(9.0 * 0.8 ** 6 * 2 ** 2, rel=1e-12)
-        assert "iterations = 6" in lines
+        assert float(value) == pytest.approx(9.0 * 0.8 ** 3 * 2, rel=1e-12)
+        assert "iterations = 3" in lines
 
     def test_reports_backtracks_after_lipschitz(self, tmp_path, capsys):
-        # the two failed sufficient-decrease tests of the case above
+        # the one failed sufficient-decrease test of the case above
         code, out = self._fit_diag_9_1(tmp_path, capsys)
         assert code == 0
         lines = out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("lipschitz = "))
-        assert lines[at + 1] == "backtracks = 2"
+        assert lines[at + 1] == "backtracks = 1"
 
     @staticmethod
     def _fit_diag_9_1(tmp_path, capsys):

@@ -47,3 +47,24 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
     assert (tmp_path / "r.csv").read_text().count("\n") == 1 + 2 * 2 * 2
+
+
+LOGISTIC_LAMBDA = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+
+from sixlasso.model import LOGISTIC, compute_lambda
+
+assert 0.41 < compute_lambda(LOGISTIC) < 0.42
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_logistic_lambda_loads_no_numpy_polynomial():
+    # the logistic link constant is a fixed trapezoid sum, not a
+    # Gauss-Hermite rule built by numpy.polynomial
+    done = subprocess.run([sys.executable, "-c", LOGISTIC_LAMBDA, SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

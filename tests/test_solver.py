@@ -233,6 +233,21 @@ class TestFitLasso:
         assert np.all(b_nu > 0.0)
         np.testing.assert_allclose(fit.beta_hat, b_nu[:3], rtol=0, atol=1e-12)
 
+    def test_rejected_finish_that_lowers_the_objective_is_adopted(self):
+        # objective_path holds one entry per iteration, one for the start and
+        # one for an accepted finish; any entry beyond those is an adopted
+        # finish, whose certificate failed but whose objective was lower
+        adopted = 0
+        for seed in range(8):
+            sig = make_signal(300, 5, seed=seed)
+            data = generate_dataset(sig, 60, LOGISTIC, seed=seed + 100)
+            fit = fit_lasso(data, radius=np.sqrt(5.0))
+            adopted += len(fit.objective_path) > fit.iterations + 2
+            assert np.all(np.diff(fit.objective_path) <= 0.0)
+            assert fit.converged
+            assert fit.fp_residual <= 1e-6
+        assert adopted >= 1
+
     def test_step_constant_ends_below_half_the_top_eigenvalue_when_n_much_less_than_p(self):
         # the curvature on the final support is a fraction of the top
         # eigenvalue of (2/n) X'X, and the adaptive L follows it, not the top
