@@ -23,6 +23,8 @@ one-bit recovery baseline.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,29 +75,57 @@ class FitResult:
     objective_path: np.ndarray
 
 
+@functools.lru_cache(maxsize=4)
+def _ranks(m: int) -> np.ndarray:
+    """1.0, 2.0, ..., m, read-only: the divisors of project_l1_ball's
+    thresholds, which a fit needs at one length for every call."""
+    ks = np.arange(1.0, m + 1.0)
+    ks.flags.writeable = False
+    return ks
+
+
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}.
 
-    Sort-and-threshold: sort |v| descending, find the largest k with
+    Sort-and-threshold (Duchi, Shalev-Shwartz, Singer & Chandra 2008): sort
+    |v| descending, find the largest k with
     |v|_(k) > (sum of the k largest - radius)/k, and soft-threshold at that
     level.  Points already inside the ball (boundary included) are returned
-    unchanged.
+    unchanged, as a copy.  The thresholds and the result are built in place
+    in two arrays beside the sorted |v|.
+
+    A negative radius raises NegativeRadius.  A NaN radius, a NaN or
+    infinite entry of v, and an l1 norm of v that overflows raise
+    ValueError: each would otherwise give a silent NaN or a wrong point.
+    The test reads the l1 norm the inside-the-ball check computes anyway,
+    so a finite v pays nothing for it; an overflowing sum still raises
+    numpy's overflow RuntimeWarning first, as the caller's np.errstate
+    directs.
     """
     if radius < 0:
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
+    if math.isnan(radius):
+        raise ValueError("radius must not be NaN")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
-    if a.sum() <= radius:
+    total = a.sum()
+    if not math.isfinite(total):
+        if np.isfinite(a).all():
+            raise ValueError("the l1 norm of v overflows")
+        raise ValueError("v must be finite: it has NaN or infinite entries")
+    if total <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
-    cum = np.cumsum(u)
-    ks = np.arange(1, u.size + 1)
-    hits = np.nonzero(u > (cum - radius) / ks)[0]
+    thresholds = u.cumsum()
+    thresholds -= radius
+    thresholds /= _ranks(u.size)
+    hits = (u > thresholds).nonzero()[0]
     # radius >= ulp(max|v|) guarantees k=1 qualifies; below that (incl. radius
     # 0) thresholding at the top magnitude is the exact projection
-    k = hits[-1] if hits.size else 0
-    theta = (cum[k] - radius) / (k + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    a -= thresholds[hits[-1] if hits.size else 0]
+    np.maximum(a, 0.0, out=a)
+    a *= np.sign(v)
+    return a
 
 
 def lipschitz_estimate(X: np.ndarray) -> float:
@@ -139,6 +169,15 @@ def _support_product(X: np.ndarray, S: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extrapolate(cur: np.ndarray, prev: np.ndarray, mom: float) -> np.ndarray:
+    """cur + mom (cur - prev), the momentum step, written over prev (which
+    the caller no longer needs) and returned."""
+    out = np.subtract(cur, prev, out=prev)
+    out *= mom
+    out += cur
+    return out
+
+
 def _normal_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     """Solve G Z = B for a Gram matrix G, or None when G is not numerically
     positive definite.
@@ -176,6 +215,15 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     momentum restarts (t = 1, s = beta); a sufficient-decrease step from
     beta cannot raise it, so objective_path is monotone.
 
+    A step makes few p-vectors: s - grad/L is formed in one array, which
+    project_l1_ball reads and leaves alone, the gradient (2/n)X'r is scaled
+    in place, and z and its residual and gradient are extrapolated in place
+    over the last iterate's arrays, which nothing reads after that.  The
+    sign pattern of beta is tracked on its support: the support S of x+,
+    which the X @ product needs anyway, and sign(beta_S), compared with the
+    last iteration's S and signs.  None of this changes a floating-point
+    operation or its order.
+
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
     |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows, each
     block's X_S'X_S written into one preallocated |S| x |S| buffer and
@@ -189,18 +237,21 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
     rounding.)  The finish is tried once whenever a sign pattern has held
     for 2 iterations, and once more whenever the loop stops on its own.
-    b is accepted only if it is finite, lies in the ball once projected
-    onto it (rounding), passes the certificate, and changes the objective
-    by Delta = <grad, b - beta> + (1/n)||X(b - beta)||^2 <= 1e-13 f
+    b is accepted only if it and its l1 norm are finite, lies in the ball
+    once projected onto it (rounding), passes the certificate, and changes
+    the objective by
+    Delta = <grad, b - beta> + (1/n)||X(b - beta)||^2 <= 1e-13 f
     (computed from X(b - beta), not as a difference of rounded
-    objectives).  An accepted finish ends the fit, converged, and appends
-    its objective to objective_path.  A finish the certificate rejects
-    inside the loop is still adopted when Delta < 0 and its objective is
-    at most f: b becomes the iterate, with the residual and gradient the
-    certificate computed, its objective is appended to objective_path, the
-    momentum restarts (t = 1, z = b) and the sign pattern's age starts
-    again from 0.  The finish tried at a stop of the loop's own either
-    ends the fit or is dropped.
+    objectives).  A b that fails the objective test is dropped at once,
+    before its gradient and certificate are computed: its Delta is above
+    0, so it could not be adopted either.  An accepted finish ends the
+    fit, converged, and appends its objective to objective_path.  A
+    finish the certificate rejects inside the loop is still adopted when
+    Delta < 0 and its objective is at most f: b becomes the iterate, with
+    the residual and gradient the certificate computed, its objective is
+    appended to objective_path, the momentum restarts (t = 1, z = b) and
+    the sign pattern's age starts again from 0.  The finish tried at a
+    stop of the loop's own either ends the fit or is dropped.
 
     The one stop test of the loop is the certificate fp_residual <= 1e-6
     at the new iterate, with the current L.  ||b - P(b - grad/L)|| does not
@@ -249,37 +300,47 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     backtracks = 0
 
     def gradient(r):
-        return (2.0 / n) * (X.T @ r)
+        g = X.T @ r
+        g *= 2.0 / n
+        return g
+
+    def gradient_step(point, g):
+        """point - g/L in one new array."""
+        w = g / L
+        np.subtract(point, w, out=w)
+        return w
 
     def step_from(point, point_resid, g):
-        """The backtracked step from point: (x+, its residual, its objective,
-        ||x+ - point||_2)."""
+        """The backtracked step from point: (x+, its support, its residual,
+        its objective, ||x+ - point||_2)."""
         nonlocal L, backtracks
         while True:
-            cand = project_l1_ball(point - g / L, radius)
-            S = np.flatnonzero(cand)
+            cand = project_l1_ball(gradient_step(point, g), radius)
+            S = cand.nonzero()[0]
             r = _support_product(X, S, cand[S])
             r -= y
-            dd = float(np.sum((cand - point) ** 2))
+            d = cand - point
+            d *= d
+            dd = float(d.sum())
             dr = r - point_resid
             if dd == 0.0 or (2.0 / n) * float(dr @ dr) <= L * dd:
-                return cand, r, float(r @ r) / n, np.sqrt(dd)
+                return cand, S, r, float(r @ r) / n, math.sqrt(dd)
             L *= 2.0
             backtracks += 1
 
     def cert_residual(b, g):
-        return float(np.linalg.norm(b - project_l1_ball(b - g / L, radius)))
+        w = project_l1_ball(gradient_step(b, g), radius)
+        w -= b  # P(b - g/L) - b: the negated residual has the same norm
+        return float(np.linalg.norm(w))
 
-    def exact_finish(b, r, g, fb):
-        """The exact minimizer on b's support and signs, projected onto the
-        ball, as (accepted, beta, residual, gradient, objective,
+    def exact_finish(b, S, sigma, r, g, fb):
+        """The exact minimizer on b's support S and signs sigma, projected
+        onto the ball, as (accepted, beta, residual, gradient, objective,
         certificate), or None.  accepted is true when it passes the
         certificate and the objective test; a rejected one comes back only
         if it lowers the objective, for the loop to adopt."""
-        S = np.flatnonzero(b)
         if not 0 < S.size <= n:
             return None
-        sigma = np.sign(b[S])
         gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
         tmp = np.empty_like(gram)  # each block's X_S'X_S, added to gram
         with np.errstate(all="ignore"):
@@ -297,7 +358,9 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             # the multiplier of sigma'b <= radius is positive only where the
             # least-squares point lies beyond the face
             u = u - (max(sigma @ u - radius, 0.0) / (sigma @ w)) * w
-            if not np.isfinite(u).all():
+            # a NaN, an infinity or an l1 norm that overflows, each of which
+            # project_l1_ball refuses
+            if not math.isfinite(np.abs(u).sum()):
                 return None
             cand = np.zeros(p)
             cand[S] = u
@@ -305,6 +368,10 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             d = cand[S] - b[S]
             Xd = _support_product(X, S, d)
             delta = float(g[S] @ d) + float(Xd @ Xd) / n
+            if delta > _FINISH_SLACK * fb:
+                # too high to accept, and above 0, so not adopted either:
+                # dropped before its gradient and certificate
+                return None
             r_new = r + Xd
             g_new = gradient(r_new)
             cert = cert_residual(cand, g_new)
@@ -326,16 +393,18 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
 
     # z is the extrapolated point each step starts from (beta while mom is 0)
     t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
-    signs, stable = np.zeros(p), 0  # sign pattern of beta, and its age in iterations
+    # beta's sign pattern, as its support and the signs there, and its age in
+    # iterations
+    supp, signs, stable = np.flatnonzero(beta), np.zeros(0), 0
     fp_residual = None  # certificate at beta, once computed
     stopped = finished = False
     for iterations in range(1, max_iter + 1):
         L *= _STEP_SHRINK
-        candidate, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
+        candidate, S, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
         if f_new > f and mom != 0.0:
             # function-value restart: drop the momentum and step from beta
             t = 1.0
-            candidate, cand_resid, f_new, step_len = step_from(beta, resid, grad)
+            candidate, S, cand_resid, f_new, step_len = step_from(beta, resid, grad)
         if f_new > f:
             # a sufficient-decrease step from beta rose by rounding: stationary
             path.append(f)
@@ -345,6 +414,12 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         beta, resid, f = candidate, cand_resid, f_new
         grad = gradient(resid)
         path.append(f)
+        new_signs = np.sign(beta[S])
+        # compared as bytes: cheaper than np.array_equal here, and numpy's
+        # integer comparison loops stay out of the process's resident code
+        same = S.tobytes() == supp.tobytes() and new_signs.tobytes() == signs.tobytes()
+        stable = stable + 1 if same else 0
+        supp, signs = S, new_signs
         fp_residual = None
         if step_len <= _CERT_TOL:
             fp_residual = cert_residual(beta, grad)
@@ -352,11 +427,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             if fp_residual <= _CERT_TOL or step_len == 0.0:
                 stopped = True
                 break
-        new_signs = np.sign(beta)
-        stable = stable + 1 if np.array_equal(new_signs, signs) else 0
-        signs = new_signs
         if stable == _STABLE_ITERS:
-            finish = exact_finish(beta, resid, grad, f)
+            finish = exact_finish(beta, supp, signs, resid, grad, f)
             if finish is not None:
                 finished, beta, resid, grad, f, fp_residual = finish
                 path.append(f)
@@ -365,19 +437,22 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
                     break
                 # adopt the rejected finish, which lowers the objective, and
                 # restart the momentum from it
-                signs, stable = np.sign(beta), 0
+                supp = np.flatnonzero(beta)
+                signs, stable = np.sign(beta[supp]), 0
                 t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
                 continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_next
         t = t_next
-        z = beta + mom * (beta - beta_prev)
-        z_resid = resid + mom * (resid - resid_prev)
-        z_grad = grad + mom * (grad - grad_prev)
+        # beta_prev, resid_prev and grad_prev die here: z and its residual
+        # and gradient take their arrays
+        z = _extrapolate(beta, beta_prev, mom)
+        z_resid = _extrapolate(resid, resid_prev, mom)
+        z_grad = _extrapolate(grad, grad_prev, mom)
     if stopped and not finished:
         # every stop of the loop's own tries the finish: a stop on a rounding
         # rise can come one iteration earlier on (cX, cy) than on (X, y)
-        finish = exact_finish(beta, resid, grad, f)
+        finish = exact_finish(beta, supp, signs, resid, grad, f)
         if finish is not None and finish[0]:
             finished, beta, resid, grad, f, fp_residual = finish
             path.append(f)
@@ -410,12 +485,26 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     (k+1)-th largest |g|, as in the sort-and-threshold of project_l1_ball.
     When at least R^2 entries tie for the largest |g|, no threshold reaches
     the l1 sphere, and the maximizer is that tied face scaled onto it.
+
+    A NaN l1_radius, or one below 1, raises ValueError, and so does an X'y
+    that is not finite or whose l2 norm overflows: the message says whether
+    X or y has NaN or infinite entries or the product overflows.  X'y = 0
+    raises ZeroGradient.
     """
+    if math.isnan(l1_radius):
+        raise ValueError("l1_radius must not be NaN")
     if l1_radius < 1.0:
         raise ValueError(f"l1_radius must be >= 1 (got {l1_radius}); "
                          "smaller radii reduce to a single l1-ball vertex")
-    g = np.asarray(data.X, dtype=float).T @ np.asarray(data.y, dtype=float)
-    gnorm = np.linalg.norm(g)
+    X = np.asarray(data.X, dtype=float)
+    y = np.asarray(data.y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        g = X.T @ y
+        gnorm = np.linalg.norm(g)
+    if not math.isfinite(gnorm):
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X'y is not finite: X or y has NaN or infinite entries")
+        raise ValueError("X'y or its l2 norm overflows")
     if gnorm == 0.0:
         raise ZeroGradient("X'y = 0: no directional information in the data")
     w = g / gnorm

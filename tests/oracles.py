@@ -2,12 +2,13 @@
 
 These are the reference implementations that acceptance criteria 1, 2, 3
 and 6 compare against: the Monte Carlo link constant, the l1-ball
-projection, the lasso solver and the sphere-constrained programs.  They live
-with the tests, and the installed package does not ship them; nothing here
-is meant to be fast.  The
-exhaustive searches scan a grid of resolution `step` (0 < step <= 0.1), are
-capped at p <= P_MAX and break objective ties by the lexicographically
-smallest point.
+projection, the lasso solver and the sphere-constrained programs; and
+the plain sort-and-threshold projection that project_l1_ball must match
+bit for bit.  They live with the tests, and the installed package does
+not ship them; nothing here is meant to be fast.  The exhaustive
+searches scan a grid of resolution `step` (0 < step <= 0.1), are capped
+at p <= P_MAX and break objective ties by the lexicographically smallest
+point.
 """
 
 from __future__ import annotations
@@ -68,6 +69,27 @@ def oracle_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
             theta = lo + (s_lo - radius) / slope
             break
     assert theta is not None  # S(0) > radius >= 0 = S(max) guarantees a crossing
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def reference_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
+    """The sort-and-threshold l1-ball projection, a fresh array per step.
+
+    project_l1_ball does the same floating-point operations in the same
+    order in fewer arrays, so the two must agree bit for bit.
+    """
+    if radius < 0:
+        raise NegativeRadius(f"radius must be >= 0, got {radius}")
+    v = np.asarray(v, dtype=float)
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    cum = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    hits = np.nonzero(u > (cum - radius) / ks)[0]
+    k = hits[-1] if hits.size else 0
+    theta = (cum[k] - radius) / (k + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_project_l1
+from oracles import oracle_project_l1, reference_project_l1
 from sixlasso import (
     Dataset,
     FitResult,
@@ -84,6 +84,76 @@ class TestProjectL1Ball:
             got = project_l1_ball(v, radius)
             want = oracle_project_l1(v, radius)
             np.testing.assert_allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0],
+                                   [1.0, np.nan]])
+    def test_non_finite_entry_raises(self, v):
+        # [inf, 1] at radius 1 would otherwise come back as [nan, 0]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            project_l1_ball(np.array(v), 1.0)
+
+    def test_non_finite_entry_raises_inside_an_infinite_ball(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            project_l1_ball(np.array([np.inf, 1.0]), np.inf)
+
+    def test_nan_radius_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            project_l1_ball(np.array([3.0, 1.0]), np.nan)
+
+    def test_overflowing_l1_norm_raises(self):
+        # finite entries whose sum overflows would otherwise project to
+        # [0, 0]; numpy warns of the overflow in the sum first
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="overflows"):
+                project_l1_ball(np.array([1e308, 1e308]), 1.0)
+
+    def test_infinite_radius_is_the_whole_space(self):
+        v = np.array([1e300, -2.0])
+        np.testing.assert_array_equal(project_l1_ball(v, np.inf), v)
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# small integers tie often; fractions of them land inside, on and outside the ball
+tie_vectors = st.lists(st.integers(-4, 4), min_size=1, max_size=40).map(lambda v: np.array(v, float))
+
+
+class TestProjectL1BallMatchesReference:
+    """project_l1_ball works in fewer arrays than the plain sort-and-threshold
+    of tests/oracles.py, with the same operations in the same order: the
+    two agree bit for bit, signed zeros included."""
+
+    @given(v=vectors, radius=radii)
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_vectors(self, v, radius):
+        _assert_same_bits(project_l1_ball(v, radius), reference_project_l1(v, radius))
+
+    @given(v=tie_vectors, frac=st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.999, 1.0, 1.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_ties_inside_on_and_outside_the_ball(self, v, frac):
+        radius = frac * float(np.abs(v).sum())
+        _assert_same_bits(project_l1_ball(v, radius), reference_project_l1(v, radius))
+
+    @pytest.mark.parametrize("v", [[3.0, -2.0], [0.0, -0.0, 1.0], [-0.0], [5.0, 5.0, -5.0]])
+    def test_radius_zero(self, v):
+        v = np.array(v)
+        _assert_same_bits(project_l1_ball(v, 0.0), reference_project_l1(v, 0.0))
+
+    def test_on_the_sphere_and_below_an_ulp(self):
+        v = np.array([0.75, -0.25, 0.0, -0.0])
+        for radius in (1.0, np.nextafter(1.0, 0.0), 1e-300, 5e-324):
+            _assert_same_bits(project_l1_ball(v, radius), reference_project_l1(v, radius))
+
+    def test_fit_sized_vectors(self):
+        # the length and spread of a p = 1200 gradient step
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            v = rng.standard_normal(1200) * rng.uniform(1e-3, 10)
+            radius = rng.uniform(0, 1.2) * float(np.abs(v).sum())
+            _assert_same_bits(project_l1_ball(v, radius), reference_project_l1(v, radius))
 
 
 class TestLipschitzEstimate:
@@ -432,3 +502,27 @@ class TestPVLinearFit:
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
             pv_linear_fit(_dataset(np.eye(2), [1.0, 0.0]), 0.5)
+
+    def test_nan_radius_rejected(self):
+        # it would otherwise pass the radius check and end in an argmax
+        # over an empty sequence
+        with pytest.raises(ValueError, match="NaN"):
+            pv_linear_fit(_dataset(np.eye(3), [3.0, 2.0, 1.0]), np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_named(self, bad):
+        X = np.eye(3)
+        X[0, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            pv_linear_fit(_dataset(X, [3.0, 2.0, 1.0]), 1.5)
+
+    def test_overflowing_product_named(self):
+        X = np.array([[1e308, 1.0], [1e308, 2.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            pv_linear_fit(_dataset(X, [1.0, 1.0]), 1.5)
+
+    def test_overflowing_norm_named(self):
+        # every entry of X'y is finite, its l2 norm is not
+        X = np.array([[1e200, 1e200], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            pv_linear_fit(_dataset(X, [1.0, 1.0]), 1.5)
