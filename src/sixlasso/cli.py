@@ -71,7 +71,7 @@ from .model import (
     get_link,
     make_signal,
 )
-from .solver import MAX_ITER, fit_lasso
+from .solver import fit_lasso
 
 
 def _one_of(values: dict) -> tuple:
@@ -368,8 +368,7 @@ _SPEC_SETTINGS = {
 _CONFIG_ONLY = ("test_n",)
 # the SweepSpec fields named otherwise than their config keys
 _SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed"}
-_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "max_iter": (int, None), "out": (str, None),
-                   "out_svg": (str, None)}
+_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "out": (str, None), "out_svg": (str, None)}
 SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 
 
@@ -412,7 +411,7 @@ def cmd_fit(args) -> int:
         raise InputError(f"design has {X.shape[0]} rows but labels file has {y.shape[0]} values")
     if not 0 <= args.radius < np.inf:
         raise InputError(f"--radius must be finite and >= 0, got {args.radius}")
-    result = fit_lasso(Dataset(X=X, y=y), args.radius, args.max_iter)
+    result = fit_lasso(Dataset(X=X, y=y), args.radius)
     text = fit_document_text(result)
     if args.out:
         write_text_atomic(args.out, text)
@@ -425,6 +424,9 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     if not 1 <= args.s <= args.p:
         raise InputError(f"need 1 <= s <= p, got s={args.s}, p={args.p}")
+    # the data seed goes to numpy as it is (a sweep's seeds are mixed first)
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     link = get_link(args.link)
     # the signal has its own stream, as in a sweep: seeding it with the data
     # seed would repeat its raw normals in the design
@@ -443,7 +445,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_spec_from(args) -> tuple[SweepSpec, int, str, str]:
+def _sweep_spec_from(args) -> tuple[SweepSpec, str, str]:
     cfg = load_config(args.config) if args.config else {}
     given = {}
     for key in _SPEC_SETTINGS:
@@ -451,10 +453,9 @@ def _sweep_spec_from(args) -> tuple[SweepSpec, int, str, str]:
         if value is not None:
             given[_SPEC_FIELDS.get(key, key)] = value
     spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
-    max_iter = _pick(args, cfg, "max_iter", default=MAX_ITER)
     out = _pick(args, cfg, "out", required=True)
     out_svg = _pick(args, cfg, "out_svg", default=out.removesuffix(".csv") + ".svg")
-    return spec, max_iter, out, out_svg
+    return spec, out, out_svg
 
 
 def summary_path_for(records_path: str) -> str:
@@ -462,7 +463,7 @@ def summary_path_for(records_path: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    spec, max_iter, out, out_svg = _sweep_spec_from(args)
+    spec, out, out_svg = _sweep_spec_from(args)
     summary_path = summary_path_for(out)
     named = (("records", out), ("summary", summary_path), ("SVG", out_svg))
     for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
@@ -475,7 +476,7 @@ def cmd_sweep(args) -> int:
             raise OutputError(f"the {what} output {path} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise OutputError(f"the {what} output {path} is in a directory that does not exist")
-    records = run_sweep(spec, max_iter)
+    records = run_sweep(spec)
     rows = summarize(records)
     write_text_atomic(out, records_csv_text(records))
     write_text_atomic(summary_path, summary_csv_text(rows))
@@ -507,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("design", help="CSV with n rows of p numeric features")
     p_fit.add_argument("labels", help="CSV with n response values")
     p_fit.add_argument("--radius", type=float, required=True)
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=MAX_ITER)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -46,13 +46,13 @@ from .model import (
     get_link,
     make_signal,
 )
-from .solver import MAX_ITER, fit_lasso, pv_linear_fit
+from .solver import fit_lasso, pv_linear_fit
 
 THREADS_ENV = "SIXLASSO_THREADS"
 
 ESTIMATORS = ("lasso", "pv")
 
-RADIUS_RULES = ("sqrt_s", "two_sqrt_s_over_lambda", "raw_s", "explicit")
+RADIUS_RULES = ("sqrt_s", "two_sqrt_s_over_lambda", "explicit")
 
 _MASK64 = (1 << 64) - 1
 _TEST_TAG = 0x74657374  # ascii "test": separates the held-out stream
@@ -81,11 +81,11 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid definition for one Monte Carlo sweep.
+    """Every setting of one Monte Carlo sweep: the spec alone fixes its records.
 
     radius_rule picks the l1 budget per trial: "sqrt_s" (sqrt(s), the
-    effective-sparsity radius), "two_sqrt_s_over_lambda", "raw_s" (s), or
-    "explicit" with radius_value.  estimators are canonicalized to
+    effective-sparsity radius), "two_sqrt_s_over_lambda" (2 sqrt(s) / lambda),
+    or "explicit" with radius_value.  estimators are canonicalized to
     ("lasso", "pv") order so that trial ids do not depend on input order.
     One s-sparse random-magnitude signal, drawn from the base seed, serves
     every trial of the sweep.  p, s, reps, base_seed, test_n and the n_grid
@@ -207,15 +207,13 @@ def signal_seed(seed: int) -> int:
 
 
 def resolve_lambda(spec: SweepSpec) -> float:
-    """Link constant for the sweep's link (compute_lambda's default budget)."""
+    """Link constant E[F(Z)Z] of the sweep's link."""
     return compute_lambda(get_link(spec.link))
 
 
 def resolve_radius(spec: SweepSpec) -> float:
     if spec.radius_rule == "sqrt_s":
         return float(np.sqrt(spec.s))
-    if spec.radius_rule == "raw_s":
-        return float(spec.s)
     if spec.radius_rule == "explicit":
         return float(spec.radius_value)
     return float(2.0 * np.sqrt(spec.s) / resolve_lambda(spec))
@@ -240,14 +238,15 @@ def _failed_metrics(lam: float) -> TrialMetrics:
 
 
 def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              max_iter: int = MAX_ITER, *, signal: TrueSignal | None = None) -> TrialRecord:
+              *, signal: TrueSignal | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
     cell is (n, rep_index).  signal (the sweep's, sweep_signal) may be
     passed in so that the trials share one signal object, and a rep's
     trials with it their kept draws; when omitted it is rebuilt from the
-    spec, so the result is a pure function of (spec, cell, estimator,
-    max_iter).
+    spec, so the result is a pure function of (spec, cell, estimator).
+    A lasso fit runs to fit_lasso's fixed MAX_ITER cap; one that stops
+    there unconverged is recorded with converged False.
     The trial fits the first n rows of its rep's draw, seeded by
     rep_seed(spec, rep), and is scored on the rep's held-out set (see the
     module docstring); the draws are read-only.
@@ -283,7 +282,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     t0 = time.perf_counter()
     try:
         if estimator == "lasso":
-            fit = fit_lasso(train, radius, max_iter)
+            fit = fit_lasso(train, radius)
             beta_hat, iterations, converged = fit.beta_hat, fit.iterations, fit.converged
         else:
             beta_hat = pv_linear_fit(train, radius)
@@ -310,10 +309,9 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _run_rep(spec: SweepSpec, max_iter: int, signal: TrueSignal,
-             rep: int) -> list[TrialRecord]:
+def _run_rep(spec: SweepSpec, signal: TrueSignal, rep: int) -> list[TrialRecord]:
     """Every trial of repetition `rep`, n descending: one pool task."""
-    return [run_trial(spec, (n, rep), est, max_iter, signal=signal)
+    return [run_trial(spec, (n, rep), est, signal=signal)
             for n in reversed(spec.n_grid) for est in spec.estimators]
 
 
@@ -325,13 +323,14 @@ def _thread_budget() -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
+def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
+    The records are a function of spec alone, runtime_ms aside.
     SIXLASSO_THREADS sets the parallelism (unset, 0 or 1 = serial; k >= 2 =
-    a pool of k spawned worker processes, whose BLAS runs on one thread).
-    Output is always sorted by trial_id and is identical, runtime_ms aside,
-    whichever way the trials were scheduled (see the module docstring).
+    a pool of k spawned worker processes, whose BLAS runs on one thread),
+    and the output, sorted by trial_id, is the same whichever way the
+    trials were scheduled (see the module docstring).
     The sweep's signal is drawn once, here, and handed to every rep.
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
@@ -340,13 +339,9 @@ def run_sweep(spec: SweepSpec, max_iter: int = MAX_ITER) -> list[TrialRecord]:
     workers busy.  The pool's modules (concurrent.futures, multiprocessing)
     are imported only when a pool runs, so a serial sweep does not pay
     their memory and import time.
-    max_iter < 1 raises ValueError before any trial runs, even in a sweep
-    without lasso.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     workers = _thread_budget()
-    task = partial(_run_rep, spec, max_iter, sweep_signal(spec))
+    task = partial(_run_rep, spec, sweep_signal(spec))
     if workers >= 2:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

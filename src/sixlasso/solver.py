@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
-MAX_ITER = 5000  # default iteration cap of fit_lasso, run_trial, run_sweep and the CLI
+MAX_ITER = 5000  # fit_lasso's default cap; sweeps and `sixlasso fit` always use it
 _CERT_TOL = 1e-6
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 2  # iterations a sign pattern holds before the exact finish is tried

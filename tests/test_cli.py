@@ -80,8 +80,8 @@ class TestLambdaCommand:
     def test_closed_forms_print_exactly(self, capsys, link, line):
         assert run_cli(capsys, "lambda", "--link", link) == (0, line + "\n", "")
 
-    # the link constant takes no budget: the logistic rule has 64 nodes, and
-    # argparse refuses --budget like any flag it does not know
+    # the link constant takes no budget: the logistic rule is a 97-node
+    # trapezoid rule, and argparse refuses --budget like any flag it does not know
     def test_bad_budget_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--link", "sign", "--budget", "2")
         assert code == 2
@@ -93,7 +93,7 @@ class TestLambdaCommand:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --budget" in err
 
-    def test_unknown_flag_exits_2(self, capsys):
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
         assert main(["lambda", "--link", "sign", "--frobnicate"]) == 2
         # the Monte Carlo cross-check lives with the tests, not behind a flag
         assert main(["lambda", "--link", "sign", "--method", "mc"]) == 2
@@ -101,6 +101,15 @@ class TestLambdaCommand:
         # the solver has one stop rule and no tolerance to set
         assert main(["fit", "X.csv", "y.csv", "--radius", "1", "--tol", "1e-9"]) == 2
         assert main(["sweep", "--p", "10", "--s", "2", "--tol", "1e-9"]) == 2
+        # every fit runs to the solver's fixed iteration cap, which no command sets
+        (tmp_path / "X.csv").write_text("1,0\n0,1\n")
+        (tmp_path / "y.csv").write_text("1\n0\n")
+        assert main(["sweep", "--p", "10", "--s", "2", "--n-grid", "50", "--reps", "1",
+                     "--out", str(tmp_path / "r.csv"), "--max-iter", "10"]) == 2
+        assert main(["fit", str(tmp_path / "X.csv"), str(tmp_path / "y.csv"),
+                     "--radius", "1", "--out", str(tmp_path / "fit.txt"),
+                     "--max-iter", "5"]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["X.csv", "y.csv"]
 
 
 class TestFitCommand:
@@ -288,6 +297,15 @@ class TestSimulateCommand:
         assert f"need 1 <= s <= p, got s={s}, p=5" in err
         assert not os.listdir(tmp_path)
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        # the data seed reaches numpy unmixed, so the flag is checked first
+        code, out, err = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "10",
+                                 "--link", "sign", "--seed", "-1",
+                                 "--out", str(tmp_path / "sim"))
+        assert (code, out) == (2, "")
+        assert "--seed must be >= 0, got -1" in err
+        assert not os.listdir(tmp_path)
+
     def test_moment_identity_from_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "m")
         code, _, _ = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "100000",
@@ -400,6 +418,19 @@ class TestSweepCommand:
             assert code == 2
             assert repr(key.split()[0]) in err and "line 10" in err
             assert not out.exists()
+
+    # a sweep runs every fit to the solver's fixed cap and has no raw_s radius
+    @pytest.mark.parametrize("line, named", [("max_iter = 10", "'max_iter'"),
+                                             ("radius_rule = raw_s", "'raw_s'")],
+                             ids=["max_iter", "raw_s"])
+    def test_removed_setting_in_config_is_input_error(self, tmp_path, capsys, line, named):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG + line + "\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config),
+                                 "--out", str(tmp_path / "r.csv"))
+        assert (code, out) == (2, "")
+        assert named in err
+        assert os.listdir(tmp_path) == ["sweep.cfg"]
 
     def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

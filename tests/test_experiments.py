@@ -108,7 +108,7 @@ class TestSweepSpecValidation:
         smoke_spec(estimators=("pv",), radius_rule="explicit", radius_value=1.0)
 
     def test_radius_value_needs_explicit_rule(self):
-        for rule in ("sqrt_s", "two_sqrt_s_over_lambda", "raw_s"):
+        for rule in ("sqrt_s", "two_sqrt_s_over_lambda"):
             with pytest.raises(ValueError, match="explicit"):
                 smoke_spec(radius_rule=rule, radius_value=0.01)
 
@@ -131,9 +131,6 @@ class TestSweepSpecValidation:
 class TestRadiusRules:
     def test_sqrt_s(self):
         assert resolve_radius(smoke_spec()) == pytest.approx(np.sqrt(2.0))
-
-    def test_raw_s(self):
-        assert resolve_radius(smoke_spec(radius_rule="raw_s")) == 2.0
 
     def test_explicit(self):
         spec = smoke_spec(radius_rule="explicit", radius_value=3.5)
@@ -232,7 +229,7 @@ class TestRunTrial:
         assert a.seed != b.seed
         assert np.count_nonzero(sig.beta) == spec.s
 
-    @pytest.mark.parametrize("rule", ["sqrt_s", "two_sqrt_s_over_lambda", "raw_s", "explicit"])
+    @pytest.mark.parametrize("rule", ["sqrt_s", "two_sqrt_s_over_lambda", "explicit"])
     def test_standalone_trial_matches_the_sweep(self, rule):
         # run_trial derives lambda and the radius from the spec itself
         spec = smoke_spec(estimators=("lasso", "pv"), radius_rule=rule,
@@ -269,10 +266,13 @@ class TestRunSweep:
         pooled = run_sweep(spec)
         assert [_without_runtime(r) for r in serial] == [_without_runtime(r) for r in pooled]
 
-    def test_max_iter_checked_before_any_trial(self):
-        # a pv-only sweep never reaches fit_lasso's own check
-        with pytest.raises(ValueError, match="max_iter"):
-            run_sweep(smoke_spec(estimators=("pv",)), max_iter=0)
+    def test_takes_the_spec_alone(self):
+        # every fit runs to fit_lasso's fixed cap: no iteration cap rides along
+        spec = smoke_spec()
+        with pytest.raises(TypeError):
+            run_sweep(spec, 10)
+        with pytest.raises(TypeError):
+            run_trial(spec, (50, 0), "lasso", 10)
 
     def test_env_var_controls_threads(self, monkeypatch):
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")
@@ -477,7 +477,7 @@ class TestPlaneScoring:
     def test_zero_fit_is_a_failed_record(self, monkeypatch):
         spec = smoke_spec()
 
-        def zero_fit(data, radius, max_iter=5000):
+        def zero_fit(data, radius):
             zero = np.zeros(data.X.shape[1])
             return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
                              radius=radius, l2_norm=0.0, fp_residual=0.0, lipschitz=1.0,
