@@ -46,16 +46,10 @@ from .metrics import (
     support_metrics,
 )
 from .model import (
-    LINEAR,
-    LOGISTIC,
-    PROBIT,
-    SIGN,
+    LINK_KINDS,
     Dataset,
-    LinkFunction,
-    TrueSignal,
     compute_lambda,
     generate_dataset,
-    get_link,
     link_mean,
     make_signal,
 )

@@ -64,11 +64,10 @@ from .experiments import (
 )
 from .metrics import TrialMetrics
 from .model import (
-    BUILTIN_LINKS,
+    LINK_KINDS,
     Dataset,
     compute_lambda,
     generate_dataset,
-    get_link,
     make_signal,
 )
 from .solver import fit_lasso
@@ -86,7 +85,7 @@ _REAL = (float, "a real number")
 # parser raises ValueError or KeyError on a malformed cell
 _RECORD_CELLS = {
     "trial_id": _INT, "seed": _INT, "estimator": _one_of({e: e for e in ESTIMATORS}),
-    "n": _INT, "p": _INT, "s": _INT, "link": _one_of({k: k for k in BUILTIN_LINKS}),
+    "n": _INT, "p": _INT, "s": _INT, "link": _one_of({k: k for k in LINK_KINDS}),
     "radius": _REAL, **dict.fromkeys(METRIC_FIELDS, _REAL), "iterations": _INT,
     "converged": _one_of({"true": True, "false": False}), "runtime_ms": _REAL,
 }
@@ -268,9 +267,10 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def read_numeric_csv(path: str, what: str) -> np.ndarray:
-    """Parse a headerless numeric CSV with line/column diagnostics."""
+    """Parse a headerless numeric CSV with line/column diagnostics; a
+    leading UTF-8 byte order mark, which spreadsheets write, is skipped."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
@@ -361,7 +361,7 @@ def _parse_names(text: str) -> tuple[str, ...]:
 # `sweep` flag, --key with _ as -, which stores under the key's name.
 _SPEC_SETTINGS = {
     "p": (int, None), "s": (int, None), "n_grid": (_parse_int_list, None),
-    "link": (str, tuple(BUILTIN_LINKS)), "radius_rule": (str, RADIUS_RULES),
+    "link": (str, LINK_KINDS), "radius_rule": (str, RADIUS_RULES),
     "radius": (float, None), "reps": (int, None), "seed": (int, None),
     "estimators": (_parse_names, None), "test_n": (int, None),
 }
@@ -377,18 +377,19 @@ SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 # ---------------------------------------------------------------------------
 
 def cmd_lambda(args) -> int:
-    print(fmt_real(compute_lambda(get_link(args.link))))
+    print(fmt_real(compute_lambda(args.link)))
     return 0
 
 
-def fit_document_text(result) -> str:
+def fit_document_text(result, radius: float) -> str:
+    """The fit document of a fit_lasso result at l1 radius `radius`."""
     lines = [
         f"objective = {fmt_real(result.objective)}",
         f"iterations = {result.iterations}",
         f"converged = {'true' if result.converged else 'false'}",
-        f"radius = {fmt_real(result.radius)}",
+        f"radius = {fmt_real(radius)}",
         f"l1_norm = {fmt_real(float(np.abs(result.beta_hat).sum()))}",
-        f"l2_norm = {fmt_real(result.l2_norm)}",
+        f"l2_norm = {fmt_real(float(np.linalg.norm(result.beta_hat)))}",
         f"fp_residual = {fmt_real(result.fp_residual)}",
         f"lipschitz = {fmt_real(result.lipschitz)}",
         f"backtracks = {result.backtracks}",
@@ -412,7 +413,7 @@ def cmd_fit(args) -> int:
     if not 0 <= args.radius < np.inf:
         raise InputError(f"--radius must be finite and >= 0, got {args.radius}")
     result = fit_lasso(Dataset(X=X, y=y), args.radius)
-    text = fit_document_text(result)
+    text = fit_document_text(result, args.radius)
     if args.out:
         write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
@@ -427,17 +428,18 @@ def cmd_simulate(args) -> int:
     # the data seed goes to numpy as it is (a sweep's seeds are mixed first)
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    link = get_link(args.link)
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
     # the signal has its own stream, as in a sweep: seeding it with the data
     # seed would repeat its raw normals in the design
     signal = make_signal(args.p, args.s, seed=signal_seed(args.seed))
-    data = generate_dataset(signal, args.n, link, args.seed)
+    data = generate_dataset(signal, args.n, args.link, args.seed)
     x_path = f"{args.out}_X.csv"
     y_path = f"{args.out}_y.csv"
     b_path = f"{args.out}_beta.csv"
     x_text = "\n".join(",".join(fmt_real(v) for v in row) for row in data.X) + "\n"
     y_text = "\n".join(fmt_real(v) for v in data.y) + "\n"
-    b_text = "\n".join(f"{j},{fmt_real(signal.beta[j])}" for j in signal.support) + "\n"
+    b_text = "\n".join(f"{j},{fmt_real(signal[j])}" for j in np.flatnonzero(signal)) + "\n"
     write_text_atomic(x_path, x_text)
     write_text_atomic(y_path, y_text)
     write_text_atomic(b_path, b_text)
@@ -498,10 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "for binary single-index data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    links = tuple(BUILTIN_LINKS)
 
     p_lambda = sub.add_parser("lambda", help="print the link constant E[F(Z)Z]")
-    p_lambda.add_argument("--link", required=True, choices=links)
+    p_lambda.add_argument("--link", required=True, choices=LINK_KINDS)
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_fit = sub.add_parser("fit", help="fit the l1-ball least-squares estimator to CSV data")
@@ -515,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--s", type=int, required=True)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--link", required=True, choices=links)
+    p_sim.add_argument("--link", required=True, choices=LINK_KINDS)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True,
                        help="path prefix; writes <out>_X.csv, <out>_y.csv, <out>_beta.csv")

@@ -39,11 +39,10 @@ from .metrics import (
     support_metrics,
 )
 from .model import (
+    LINK_KINDS,
     Dataset,
-    TrueSignal,
     compute_lambda,
     generate_dataset,
-    get_link,
     make_signal,
 )
 from .solver import fit_lasso, pv_linear_fit
@@ -60,7 +59,7 @@ _SIGNAL_TAG = 0x7369676E616C  # ascii "signal": separates the signal stream
 
 # The held-out set lives in the plane of beta* and beta_hat: its first axis
 # is beta*/||beta*||, its second the unit vector along the rest of beta_hat.
-_PLANE = TrueSignal(beta=np.array([1.0, 0.0]), support=np.array([0]))
+_PLANE = np.array([1.0, 0.0])
 
 
 def mix64(x: int) -> int:
@@ -145,7 +144,8 @@ class SweepSpec:
                              f"not {self.radius_rule!r}")
         if self.test_n < 1:
             raise ValueError("test_n must be >= 1")
-        get_link(self.link)  # validates the tag
+        if self.link not in LINK_KINDS:
+            raise ValueError(f"unknown link {self.link!r}; expected one of {LINK_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def signal_seed(seed: int) -> int:
 
 def resolve_lambda(spec: SweepSpec) -> float:
     """Link constant E[F(Z)Z] of the sweep's link."""
-    return compute_lambda(get_link(spec.link))
+    return compute_lambda(spec.link)
 
 
 def resolve_radius(spec: SweepSpec) -> float:
@@ -219,8 +219,8 @@ def resolve_radius(spec: SweepSpec) -> float:
     return float(2.0 * np.sqrt(spec.s) / resolve_lambda(spec))
 
 
-def sweep_signal(spec: SweepSpec) -> TrueSignal:
-    """The signal of the sweep, which every trial scores against."""
+def sweep_signal(spec: SweepSpec) -> np.ndarray:
+    """The signal beta* of the sweep, which every trial scores against."""
     return make_signal(spec.p, spec.s, signal_seed(spec.base_seed))
 
 
@@ -238,13 +238,14 @@ def _failed_metrics(lam: float) -> TrialMetrics:
 
 
 def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              *, signal: TrueSignal | None = None) -> TrialRecord:
+              *, signal: np.ndarray | None = None) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
-    cell is (n, rep_index).  signal (the sweep's, sweep_signal) may be
-    passed in so that the trials share one signal object, and a rep's
-    trials with it their kept draws; when omitted it is rebuilt from the
-    spec, so the result is a pure function of (spec, cell, estimator).
+    cell is (n, rep_index).  signal, the sweep's beta* (sweep_signal), may
+    be passed in so that the trials share one draw of it; when omitted it is
+    rebuilt from the spec, so the result is a pure function of (spec, cell,
+    estimator).  Either way a rep's trials share its two kept draws, which
+    generate_dataset matches by value.
     A lasso fit runs to fit_lasso's fixed MAX_ITER cap; one that stops
     there unconverged is recorded with converged False.
     The trial fits the first n rows of its rep's draw, seeded by
@@ -270,12 +271,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     if signal is None:
         signal = sweep_signal(spec)
 
-    link = get_link(spec.link)
-    drawn = generate_dataset(signal, spec.n_grid[-1], link, seed)
+    drawn = generate_dataset(signal, spec.n_grid[-1], spec.link, seed)
     # the prefix view of the column-major draw: fit_lasso uses it in place
     train = Dataset(drawn.X[:n], drawn.y[:n])
-    test = generate_dataset(_PLANE, spec.test_n, link, mix64(seed ^ _TEST_TAG))
-    if link.kind == "linear":
+    test = generate_dataset(_PLANE, spec.test_n, spec.link, mix64(seed ^ _TEST_TAG))
+    if spec.link == "linear":
         # regression mode: score sign agreement against the sign of the response
         test = Dataset(test.X, np.where(test.y >= 0, 1.0, -1.0))
 
@@ -289,13 +289,13 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
             iterations, converged = 0, True
         prec, rec = support_metrics(beta_hat, signal)
         metrics = TrialMetrics(
-            direction_error=direction_error(beta_hat, signal.beta),
-            raw_l2_error=float(np.linalg.norm(beta_hat - signal.beta)),
+            direction_error=direction_error(beta_hat, signal),
+            raw_l2_error=float(np.linalg.norm(beta_hat - signal)),
             norm_beta_hat=float(np.linalg.norm(beta_hat)),
             norm_gap=norm_gap(beta_hat, lam),
             support_precision=prec,
             support_recall=rec,
-            test_accuracy=classify_accuracy(plane_coordinates(beta_hat, signal.beta), test),
+            test_accuracy=classify_accuracy(plane_coordinates(beta_hat, signal), test),
         )
     except SixLassoError:
         metrics = _failed_metrics(lam)
@@ -309,7 +309,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _run_rep(spec: SweepSpec, signal: TrueSignal, rep: int) -> list[TrialRecord]:
+def _run_rep(spec: SweepSpec, signal: np.ndarray, rep: int) -> list[TrialRecord]:
     """Every trial of repetition `rep`, n descending: one pool task."""
     return [run_trial(spec, (n, rep), est, signal=signal)
             for n in reversed(spec.n_grid) for est in spec.estimators]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroVector
-from .model import Dataset, TrueSignal
+from .model import Dataset
 
 _ZERO_NORM = 1e-300
 
@@ -52,9 +52,9 @@ def norm_gap(beta_hat: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(np.asarray(beta_hat, dtype=float)) - lam)
 
 
-def support_metrics(beta_hat: np.ndarray, signal: TrueSignal) -> tuple[float, float]:
+def support_metrics(beta_hat: np.ndarray, beta_star: np.ndarray) -> tuple[float, float]:
     """Precision and recall of {j : |beta_hat_j| > 1e-6 max|beta_hat|}
-    against the true support.
+    against the true support {j : beta*_j != 0}.
 
     The threshold only strips numerical dust (the projection already
     produces exact zeros).  An empty estimated support counts as
@@ -63,7 +63,7 @@ def support_metrics(beta_hat: np.ndarray, signal: TrueSignal) -> tuple[float, fl
     bh = np.asarray(beta_hat, dtype=float)
     threshold = 1e-6 * float(np.max(np.abs(bh))) if bh.size else 0.0
     est = set(np.nonzero(np.abs(bh) > threshold)[0].tolist())
-    true = set(np.asarray(signal.support).tolist())
+    true = set(np.flatnonzero(beta_star).tolist())
     hit = len(est & true)
     precision = hit / len(est) if est else 1.0
     recall = hit / len(true)

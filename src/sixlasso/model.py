@@ -2,11 +2,12 @@
 
 The data model is binary single-index: x ~ N(0, I_p) and the conditional
 mean of the +-1 response is E[y|x] = F(x'beta), where F maps the index to
-[-1, 1].  The four built-in links (linear, logistic, probit and sign) are
-the whole link model.  Each is odd and nondecreasing, so F(z)z >= 0 for
-every z and the link constant is positive.  The link constant is exact
-for linear, probit and sign, and a fixed 97-node trapezoid rule for
-logistic.  A signal is s-sparse and unit-norm, with normal magnitudes.
+[-1, 1].  A link is one of the four names in LINK_KINDS (linear, logistic,
+probit and sign), which are the whole link model.  Each is odd and
+nondecreasing, so F(z)z >= 0 for every z and the link constant is
+positive.  The link constant is exact for linear, probit and sign, and a
+fixed 97-node trapezoid rule for logistic.  A signal is beta* itself, a
+1-d float array: s-sparse and unit-norm, with normal magnitudes.
 
 The package's only runtime dependency is numpy.  The Gaussian special
 function the probit link needs, erf, comes from the standard library's math
@@ -29,72 +30,42 @@ _TRAPEZOID_STEP = 0.25
 _TRAPEZOID_Z = _TRAPEZOID_STEP * np.arange(-48, 49)
 
 
-@dataclass(frozen=True)
-class LinkFunction:
-    """Conditional-mean function F with F(t) in [-1, 1], one of LINK_KINDS.
-
-    Every kind is odd and nondecreasing.  The "linear" kind (F(t) = t) is
-    exempt from the range bound; it exists for noiseless real-valued
-    regression used to force exact solver answers.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in LINK_KINDS:
-            raise ValueError(f"unknown link kind {self.kind!r}; expected one of {LINK_KINDS}")
-
-    def __call__(self, t):
-        return link_mean(self, t)
-
-
-LINEAR = LinkFunction("linear")
-LOGISTIC = LinkFunction("logistic")
-PROBIT = LinkFunction("probit")
-SIGN = LinkFunction("sign")
-
-BUILTIN_LINKS = {"linear": LINEAR, "logistic": LOGISTIC, "probit": PROBIT, "sign": SIGN}
-
-
-def get_link(name: str) -> LinkFunction:
-    """Look up a built-in link by its lowercase name."""
-    try:
-        return BUILTIN_LINKS[name]
-    except KeyError:
-        raise ValueError(f"unknown link {name!r}; "
-                         f"expected one of {sorted(BUILTIN_LINKS)}") from None
-
-
 def _map_float(f, x: np.ndarray) -> np.ndarray:
     """Apply the scalar function f to every entry of the float array x."""
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def link_mean(link: LinkFunction, t):
-    """Evaluate F(t), vectorized over t.
+def link_mean(link: str, t):
+    """Evaluate F(t) for the link named `link`, vectorized over t.
 
+    The names are those of LINK_KINDS:
+    linear:   t
     logistic: tanh(t/2), i.e. 2 e^t / (1 + e^t) - 1
     probit:   2 Phi(t) - 1, computed as math.erf(t / sqrt(2)) entry by
               entry; math.erf evaluates |x| and then restores the sign, so
               the float implementation is exactly odd
     sign:     sign(t) with F(0) = 0
-    linear:   t
+    Every link is odd and nondecreasing, and maps into [-1, 1] except
+    linear, which exists for noiseless real-valued regression used to force
+    exact solver answers.  Any other name raises ValueError.
     """
     t = np.asarray(t, dtype=float)
-    if link.kind == "linear":
+    if link == "linear":
         out = t
-    elif link.kind == "logistic":
+    elif link == "logistic":
         out = np.tanh(0.5 * t)
-    elif link.kind == "probit":
+    elif link == "probit":
         out = _map_float(math.erf, t / np.sqrt(2.0))
-    else:
+    elif link == "sign":
         out = np.sign(t)
+    else:
+        raise ValueError(f"unknown link {link!r}; expected one of {LINK_KINDS}")
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _lambda_trapezoid(link: LinkFunction) -> float:
+def _lambda_trapezoid(link: str) -> float:
     # E[F(Z)Z] = integral of phi(z) F(z) z over the real line, by the
     # trapezoid rule on the nodes above: the tails beyond |z| = 12 weigh
     # below 1e-30
@@ -103,8 +74,9 @@ def _lambda_trapezoid(link: LinkFunction) -> float:
                  / np.sqrt(2.0 * np.pi))
 
 
-def compute_lambda(link: LinkFunction) -> float:
-    """Compute the link constant lambda = E[F(Z)Z], Z ~ N(0,1).
+def compute_lambda(link: str) -> float:
+    """Compute the link constant lambda = E[F(Z)Z], Z ~ N(0,1), of the link
+    named `link` (an unknown name raises ValueError, from link_mean).
 
     Only the logistic link uses quadrature: the trapezoid rule with step
     h = 1/4 on |z| <= 12, 97 nodes.  Its integrand phi(z) tanh(z/2) z is
@@ -121,41 +93,23 @@ def compute_lambda(link: LinkFunction) -> float:
     Every link is odd and nondecreasing, so F(z)z >= 0 for every z and
     lambda > 0, as the estimator theory needs.
     """
-    if link.kind == "linear":
+    if link == "linear":
         return 1.0
-    if link.kind == "probit":
+    if link == "probit":
         return float(1.0 / np.sqrt(np.pi))
-    if link.kind == "sign":
+    if link == "sign":
         return float(np.sqrt(2.0 / np.pi))
     return _lambda_trapezoid(link)
 
 
-@dataclass(frozen=True)
-class TrueSignal:
-    """Ground-truth coefficient vector: s-sparse, unit l2 norm.
-
-    Unit l2 norm plus s-sparsity give ||beta||_1 <= sqrt(s) automatically
-    (Cauchy-Schwarz), which is the effective-sparsity budget the l1 radius
-    rules are calibrated against.
-    """
-
-    beta: np.ndarray
-    support: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.beta.size
-
-    @property
-    def s(self) -> int:
-        return self.support.size
-
-
-def make_signal(p: int, s: int, seed: int = 0) -> TrueSignal:
-    """Draw an s-sparse unit-norm signal with uniformly random support.
+def make_signal(p: int, s: int, seed: int = 0) -> np.ndarray:
+    """Draw an s-sparse unit-norm signal beta* with uniformly random support.
 
     The nonzeros are i.i.d. standard normal, then normalized, so their
-    magnitudes are random.
+    magnitudes are random.  Unit l2 norm plus s-sparsity give
+    ||beta*||_1 <= sqrt(s) (Cauchy-Schwarz), the effective-sparsity budget
+    the l1 radius rules are calibrated against.  The support is
+    np.flatnonzero(beta*).
     """
     if s < 1 or s > p:
         raise InvalidSparsity(f"need 1 <= s <= p, got s={s}, p={p}")
@@ -166,7 +120,7 @@ def make_signal(p: int, s: int, seed: int = 0) -> TrueSignal:
     while np.linalg.norm(vals) == 0.0:  # never in practice; keeps the contract total
         vals = rng.standard_normal(s)
     beta[support] = vals / np.linalg.norm(vals)
-    return TrueSignal(beta=beta, support=support)
+    return beta
 
 
 @dataclass(frozen=True)
@@ -184,18 +138,20 @@ class Dataset:
         return self.X.shape[0]
 
 
-# The last two draws, oldest first, as (signal, n, link, seed, dataset).  A
-# sweep trial draws its rep's training set and then its held-out set, and
-# every trial of the rep asks for the same two: keeping two lets them share
-# the draws.  An entry holds its signal and link, so neither can be freed and
-# its id reused while the entry is kept.
-_KEPT: list[tuple[TrueSignal, int, LinkFunction, int, Dataset]] = []
+# The last two draws, oldest first, as (key, dataset) with the key
+# (signal.tobytes(), n, link, seed).  A sweep trial draws its rep's training
+# set and then its held-out set, and every trial of the rep asks for the same
+# two: keeping two lets them share the draws.  A draw matches by value, so a
+# signal edited in place no longer matches the draw made from its old values.
+_KEPT: list[tuple[tuple[bytes, int, str, int], Dataset]] = []
 
 
-def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) -> Dataset:
+def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Dataset:
     """Sample a dataset from the single-index model with Gaussian design.
 
-    X entries are i.i.d. N(0,1).  For binary links, y_i = +1 with probability
+    signal is beta*, a 1-d float array, and link one of LINK_KINDS (an
+    unknown name raises ValueError, from link_mean).  X entries are i.i.d.
+    N(0,1).  For binary links, y_i = +1 with probability
     (1 + F(x_i'beta))/2 so that E[y_i | x_i] = F(x_i'beta); the sign link is
     thereby deterministic except on the null event x_i'beta = 0.  The linear
     link produces y = X beta exactly (noiseless regression mode).
@@ -205,28 +161,29 @@ def generate_dataset(signal: TrueSignal, n: int, link: LinkFunction, seed: int) 
     another), so that a product with the columns of a sparse iterate's
     support, as in fit_lasso, reads contiguous memory.
 
-    The last two draws are kept.  A call with the same signal and link
-    objects (matched by identity), n and seed returns the kept Dataset
-    itself.  A miss evicts the oldest kept draw before
+    The last two draws are kept.  A call with the same signal values, n,
+    link and seed (matched by value: signal by its bytes) returns the kept
+    Dataset itself.  A miss evicts the oldest kept draw before
     drawing, so at most two kept draws are alive.  Since a draw may be
     shared, X and y are read-only.
     """
-    for kept_signal, kept_n, kept_link, kept_seed, kept in _KEPT:
-        if kept_signal is signal and kept_link is link and kept_n == n and kept_seed == seed:
+    key = (signal.tobytes(), n, link, seed)
+    for kept_key, kept in _KEPT:
+        if kept_key == key:
             return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     del _KEPT[:-1]
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((signal.p, n)).T
+    X = rng.standard_normal((signal.size, n)).T
     X.flags.writeable = False
-    support = signal.support
-    t = X[:, support] @ signal.beta[support]
-    if link.kind == "linear":
-        y = t.copy()
+    support = np.flatnonzero(signal)
+    t = X[:, support] @ signal[support]
+    if link == "linear":
+        y = t
     else:
         y = np.where(rng.random(n) < 0.5 * (1.0 + link_mean(link, t)), 1.0, -1.0)
     y.flags.writeable = False
     data = Dataset(X=X, y=y)
-    _KEPT.append((signal, n, link, seed, data))
+    _KEPT.append((key, data))
     return data

@@ -44,6 +44,7 @@ _ROW_BLOCK = 256  # rows of X_S gathered at a time: bounds the gather, keeps it 
 class FitResult:
     """Fitted coefficients plus solver diagnostics.
 
+    The norms of beta_hat are read off it; the radius is the caller's input.
     objective is (1/n)||y - X beta_hat||_2^2 at the final iterate;
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
@@ -67,8 +68,6 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
-    radius: float
-    l2_norm: float
     fp_residual: float
     lipschitz: float
     backtracks: int
@@ -464,8 +463,6 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         objective=f,
         iterations=iterations,
         converged=stopped and fp_residual <= _CERT_TOL,
-        radius=float(radius),
-        l2_norm=float(np.linalg.norm(beta)),
         fp_residual=fp_residual,
         lipschitz=L,
         backtracks=backtracks,

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from sixlasso import Dataset, LinkFunction, NegativeRadius, link_mean
+from sixlasso import Dataset, NegativeRadius, link_mean
 
 P_MAX = 3
 _CHUNK = 200_000
 _MC_CHUNK = 1 << 20
 
 
-def compute_lambda_mc(link: LinkFunction, budget: int = 1_000_000,
+def compute_lambda_mc(link: str, budget: int = 1_000_000,
                       seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of lambda = E[F(Z)Z] with its standard error.
 

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from sixlasso import (
-    LOGISTIC,
-    PROBIT,
     classify_accuracy,
     fit_lasso,
     generate_dataset,
@@ -41,23 +39,23 @@ def test_project_l1_ball(benchmark):
 
 @pytest.mark.parametrize("n", [200, 3000])
 def test_fit_lasso(benchmark, signal, n):
-    data = generate_dataset(signal, n, LOGISTIC, seed=3)
+    data = generate_dataset(signal, n, "logistic", seed=3)
     fit = benchmark.pedantic(fit_lasso, args=(data, RADIUS), rounds=2, iterations=1)
     assert fit.converged
 
 
 def test_fit_lasso_n_much_less_than_p(benchmark, signal):
-    data = generate_dataset(signal, 150, PROBIT, seed=3)
+    data = generate_dataset(signal, 150, "probit", seed=3)
     fit = benchmark.pedantic(fit_lasso, args=(data, RADIUS), rounds=2, iterations=1)
     assert fit.converged
 
 
 def test_trial_test_scoring(benchmark, signal):
-    beta_hat = signal.beta + 0.1 * np.random.default_rng(4).standard_normal(P)
+    beta_hat = signal + 0.1 * np.random.default_rng(4).standard_normal(P)
 
     def score():
-        test = generate_dataset(_PLANE, 10_000, LOGISTIC, seed=5)
-        return classify_accuracy(plane_coordinates(beta_hat, signal.beta), test)
+        test = generate_dataset(_PLANE, 10_000, "logistic", seed=5)
+        return classify_accuracy(plane_coordinates(beta_hat, signal), test)
 
     accuracy = benchmark.pedantic(score, rounds=5, iterations=1)
     assert 0.5 < accuracy < 1.0

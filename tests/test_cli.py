@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sixlasso
-from sixlasso import compute_lambda, get_link, make_signal
+from sixlasso import compute_lambda, make_signal
 from sixlasso.cli import (
     RECORD_COLUMNS,
     InputError,
@@ -184,6 +184,17 @@ class TestFitCommand:
             assert out == ""
             assert "line 2" in err and "column 2" in err and cell in err
 
+    def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
+        # a spreadsheet's CSV export starts with a UTF-8 byte order mark
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("\ufeff1,0\n0,1\n", encoding="utf-8")
+        labels.write_text("\ufeff1\n0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "10")
+        assert (code, err) == (0, "")
+        coeffs = [float(v) for v in out.split("coefficients:\n")[1].split()]
+        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "no.csv"),
                                str(tmp_path / "no2.csv"), "--radius", "1")
@@ -283,8 +294,8 @@ class TestSimulateCommand:
         X = np.loadtxt(f"{prefix}_X.csv", delimiter=",")
         rows = np.loadtxt(f"{prefix}_beta.csv", delimiter=",")
         expected = make_signal(6, 2, seed=signal_seed(3))
-        np.testing.assert_array_equal(rows[:, 0], expected.support)
-        np.testing.assert_array_equal(rows[:, 1], expected.beta[expected.support])
+        np.testing.assert_array_equal(rows[:, 0], np.flatnonzero(expected))
+        np.testing.assert_array_equal(rows[:, 1], expected[expected != 0])
         runs = np.column_stack([X[:-1, 0], X[1:, 0]])
         runs /= np.linalg.norm(runs, axis=1, keepdims=True)
         assert not np.any(np.all(np.abs(runs - rows[:, 1]) <= 1e-12, axis=1))
@@ -306,6 +317,13 @@ class TestSimulateCommand:
         assert "--seed must be >= 0, got -1" in err
         assert not os.listdir(tmp_path)
 
+    def test_empty_sample_is_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "0",
+                                 "--link", "sign", "--out", str(tmp_path / "sim"))
+        assert (code, out) == (2, "")
+        assert "--n must be >= 1, got 0" in err
+        assert not os.listdir(tmp_path)
+
     def test_moment_identity_from_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "m")
         code, _, _ = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "100000",
@@ -317,7 +335,7 @@ class TestSimulateCommand:
         for line in open(f"{prefix}_beta.csv").read().strip().split("\n"):
             j, v = line.split(",")
             beta[int(j)] = float(v)
-        lam = compute_lambda(get_link("logistic"))
+        lam = compute_lambda("logistic")
         assert np.linalg.norm((y[:, None] * X).mean(axis=0) - lam * beta) <= 0.02
 
 

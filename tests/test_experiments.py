@@ -19,7 +19,6 @@ from sixlasso import (
     direction_error,
     fit_lasso,
     generate_dataset,
-    get_link,
     make_signal,
     mix64,
     norm_gap,
@@ -138,7 +137,7 @@ class TestRadiusRules:
 
     def test_lambda_scaled(self):
         spec = smoke_spec(radius_rule="two_sqrt_s_over_lambda")
-        lam = compute_lambda(get_link("logistic"))
+        lam = compute_lambda("logistic")
         assert resolve_radius(spec) == pytest.approx(2.0 * np.sqrt(2.0) / lam)
 
 
@@ -212,7 +211,7 @@ class TestRunTrial:
         assert 0.0 <= m.support_precision <= 1.0
         assert 0.0 <= m.support_recall <= 1.0
         assert 0.0 <= m.test_accuracy <= 1.0
-        assert m.norm_beta_hat == pytest.approx(m.norm_gap + compute_lambda(get_link("logistic")))
+        assert m.norm_beta_hat == pytest.approx(m.norm_gap + compute_lambda("logistic"))
 
     def test_pv_estimator_runs(self):
         spec = smoke_spec(estimators=("lasso", "pv"))
@@ -227,7 +226,7 @@ class TestRunTrial:
         b = run_trial(spec, (50, 1), "lasso")
         # raw errors differ (different data) but both trials scored the same signal
         assert a.seed != b.seed
-        assert np.count_nonzero(sig.beta) == spec.s
+        assert np.count_nonzero(sig) == spec.s
 
     @pytest.mark.parametrize("rule", ["sqrt_s", "two_sqrt_s_over_lambda", "explicit"])
     def test_standalone_trial_matches_the_sweep(self, rule):
@@ -295,7 +294,7 @@ def _rep_of(spec, rec):
 
 def _nested_train(spec, signal, n, seed):
     """The first n rows of the rep's draw of max(n_grid) rows."""
-    full = generate_dataset(signal, spec.n_grid[-1], get_link(spec.link), seed)
+    full = generate_dataset(signal, spec.n_grid[-1], spec.link, seed)
     return Dataset(X=full.X[:n], y=full.y[:n])
 
 
@@ -303,7 +302,6 @@ def _cell_metrics(spec, signal, n, seed, estimator):
     """(metrics, (iterations, converged)) of `estimator` fitted on the first n
     rows of the draw of data seed `seed` and scored on that seed's held-out
     set."""
-    link = get_link(spec.link)
     train = _nested_train(spec, signal, n, seed)
     radius = resolve_radius(spec)
     if estimator == "lasso":
@@ -312,15 +310,15 @@ def _cell_metrics(spec, signal, n, seed, estimator):
     else:
         beta_hat, diagnostics = pv_linear_fit(train, radius), (0, True)
     prec, rec = support_metrics(beta_hat, signal)
-    test = _plane_test_set(spec.test_n, link, mix64(seed ^ _TEST_TAG))
+    test = _plane_test_set(spec.test_n, spec.link, mix64(seed ^ _TEST_TAG))
     metrics = TrialMetrics(
-        direction_error=direction_error(beta_hat, signal.beta),
-        raw_l2_error=float(np.linalg.norm(beta_hat - signal.beta)),
+        direction_error=direction_error(beta_hat, signal),
+        raw_l2_error=float(np.linalg.norm(beta_hat - signal)),
         norm_beta_hat=float(np.linalg.norm(beta_hat)),
-        norm_gap=norm_gap(beta_hat, compute_lambda(link)),
+        norm_gap=norm_gap(beta_hat, compute_lambda(spec.link)),
         support_precision=prec,
         support_recall=rec,
-        test_accuracy=_plane_score(beta_hat, signal.beta, test),
+        test_accuracy=_plane_score(beta_hat, signal, test),
     )
     return metrics, diagnostics
 
@@ -342,7 +340,7 @@ class TestPairedDesign:
             assert _as_computed(pv) == _cell_metrics(spec, signal, pv.n, pv.seed, "pv")
             fit = fit_lasso(_nested_train(spec, signal, lasso.n, lasso.seed),
                             resolve_radius(spec))
-            assert lasso.metrics.direction_error == direction_error(fit.beta_hat, signal.beta)
+            assert lasso.metrics.direction_error == direction_error(fit.beta_hat, signal)
 
     def test_every_record_fits_the_first_n_rows_of_its_reps_draw(self):
         spec = smoke_spec(p=60, s=3, n_grid=(40, 70, 100), reps=3,
@@ -379,7 +377,7 @@ class TestPairedDesign:
 def _plane_test_set(n, link, seed):
     """The held-out set as run_trial draws it, labels included."""
     test = generate_dataset(_PLANE, n, link, seed)
-    if link.kind == "linear":
+    if link == "linear":
         test = dataclasses.replace(test, y=np.where(test.y >= 0, 1.0, -1.0))
     return test
 
@@ -406,14 +404,13 @@ class TestPlaneScoring:
         assert a == pytest.approx(5.0) and c == pytest.approx(12.0)
         np.testing.assert_allclose(plane_coordinates(-2.5 * u, u), [-2.5, 0.0], atol=1e-15)
 
-    @pytest.mark.parametrize("name", ["sign", "logistic", "probit", "linear"])
-    def test_embedded_set_scores_identically(self, name):
+    @pytest.mark.parametrize("link", ["sign", "logistic", "probit", "linear"])
+    def test_embedded_set_scores_identically(self, link):
         """Embedding the plane set in R^p as Z @ [u, v]^T and scoring beta_hat
         there gives the plane score exactly, case by case."""
-        link = get_link(name)
         rng = np.random.default_rng(41)
         p = 40
-        u = make_signal(p, 4, seed=42).beta
+        u = make_signal(p, 4, seed=42)
         cases = [c * u for c in (1.0, 0.3, 7.0, -0.5, -4.0)]
         cases += [rng.standard_normal(p) for _ in range(6)]
         cases += [_at_correlation(u, rho, rng, 2.0) for rho in (0.999, -0.2)]
@@ -427,18 +424,17 @@ class TestPlaneScoring:
             embedded = Dataset(X=plane.X @ np.vstack([u, v]), y=plane.y)
             assert classify_accuracy(beta_hat, embedded) == _plane_score(beta_hat, u, plane)
 
-    @pytest.mark.parametrize("name", ["sign", "linear", "probit"])
-    def test_mean_matches_population_accuracy(self, name):
+    @pytest.mark.parametrize("link", ["sign", "linear", "probit"])
+    def test_mean_matches_population_accuracy(self, link):
         # P(sign(x'beta_hat) = y) at cosine rho; probit labels are
         # sign(x'beta* + e) with e ~ N(0, 1), at cosine rho / sqrt(2)
-        shrink = np.sqrt(2.0) if name == "probit" else 1.0
+        shrink = np.sqrt(2.0) if link == "probit" else 1.0
 
         def closed_form(rho):
             return 0.5 + np.arcsin(rho / shrink) / np.pi
 
-        link = get_link(name)
         rng = np.random.default_rng(43)
-        u = make_signal(30, 5, seed=44).beta
+        u = make_signal(30, 5, seed=44)
         for rho in (-0.4, 0.5, 0.98):
             beta_hat = _at_correlation(u, rho, rng, 3.0)
             scores = np.array([_plane_score(beta_hat, u, _plane_test_set(10_000, link, seed))
@@ -447,32 +443,29 @@ class TestPlaneScoring:
             assert abs(scores.mean() - closed_form(rho)) <= 3.0 * se, (rho, scores.mean())
 
     def test_logistic_mean_matches_full_dimensional_scoring(self):
-        link = get_link("logistic")
         rng = np.random.default_rng(45)
         sig = make_signal(30, 5, seed=46)
         for rho in (0.3, 0.9):
-            beta_hat = _at_correlation(sig.beta, rho, rng, 0.7)
-            plane = np.array([_plane_score(beta_hat, sig.beta,
-                                           _plane_test_set(10_000, link, seed))
+            beta_hat = _at_correlation(sig, rho, rng, 0.7)
+            plane = np.array([_plane_score(beta_hat, sig,
+                                           _plane_test_set(10_000, "logistic", seed))
                               for seed in range(100)])
-            full = np.array([classify_accuracy(beta_hat,
-                                               generate_dataset(sig, 10_000, link, 500 + seed))
-                             for seed in range(100)])
+            full = np.array([
+                classify_accuracy(beta_hat, generate_dataset(sig, 10_000, "logistic", 500 + seed))
+                for seed in range(100)])
             se = np.sqrt(plane.var(ddof=1) / plane.size + full.var(ddof=1) / full.size)
             assert abs(plane.mean() - full.mean()) <= 3.0 * se, (rho, plane.mean(), full.mean())
 
     def test_run_trial_scores_in_the_plane(self):
         spec = smoke_spec(p=60, s=3, test_n=2000)
         signal = sweep_signal(spec)
-        link = get_link(spec.link)
         for n in spec.n_grid:
             for rep in range(spec.reps):
                 rec = run_trial(spec, (n, rep), "lasso")
                 assert rec.seed == rep_seed(spec, rep)
                 fit = fit_lasso(_nested_train(spec, signal, n, rec.seed), resolve_radius(spec))
-                test = _plane_test_set(spec.test_n, link, mix64(rec.seed ^ _TEST_TAG))
-                assert rec.metrics.test_accuracy == _plane_score(fit.beta_hat, signal.beta,
-                                                                 test)
+                test = _plane_test_set(spec.test_n, spec.link, mix64(rec.seed ^ _TEST_TAG))
+                assert rec.metrics.test_accuracy == _plane_score(fit.beta_hat, signal, test)
 
     def test_zero_fit_is_a_failed_record(self, monkeypatch):
         spec = smoke_spec()
@@ -480,8 +473,7 @@ class TestPlaneScoring:
         def zero_fit(data, radius):
             zero = np.zeros(data.X.shape[1])
             return FitResult(beta_hat=zero, objective=1.0, iterations=3, converged=True,
-                             radius=radius, l2_norm=0.0, fp_residual=0.0, lipschitz=1.0,
-                             backtracks=0,
+                             fp_residual=0.0, lipschitz=1.0, backtracks=0,
                              objective_path=np.ones(4))
 
         monkeypatch.setattr("sixlasso.experiments.fit_lasso", zero_fit)
@@ -491,8 +483,8 @@ class TestPlaneScoring:
         assert np.isnan(m.test_accuracy)
         assert not rec.converged and rec.iterations == 0
         with pytest.raises(ZeroVector):
-            _plane_score(np.zeros(spec.p), sweep_signal(spec).beta,
-                         _plane_test_set(10, get_link("sign"), 0))
+            _plane_score(np.zeros(spec.p), sweep_signal(spec),
+                         _plane_test_set(10, "sign", 0))
 
 
 def _record(estimator, n, trial_id, value):

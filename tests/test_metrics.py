@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from sixlasso import (
     Dataset,
-    SIGN,
-    TrueSignal,
     ZeroVector,
     classify_accuracy,
     direction_error,
@@ -21,12 +19,6 @@ from sixlasso import (
 )
 
 unit_scales = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
-
-
-def _signal(beta):
-    beta = np.asarray(beta, float)
-    support = np.nonzero(beta)[0]
-    return TrueSignal(beta=beta, support=support)
 
 
 class TestDirectionError:
@@ -87,20 +79,20 @@ class TestNormGap:
 
 class TestSupportMetrics:
     def test_perfect_recovery(self):
-        sig = _signal([0.0, 0.5, -0.5, 0.0])
-        assert support_metrics(sig.beta, sig) == (1.0, 1.0)
+        sig = np.array([0.0, 0.5, -0.5, 0.0])
+        assert support_metrics(sig, sig) == (1.0, 1.0)
 
     def test_empty_estimate_convention(self):
-        sig = _signal([0.0, 1.0])
+        sig = np.array([0.0, 1.0])
         assert support_metrics(np.zeros(2), sig) == (1.0, 0.0)
 
     def test_half_right(self):
-        sig = _signal([1.0, 1.0, 0.0, 0.0])  # true support {0, 1}
+        sig = np.array([1.0, 1.0, 0.0, 0.0])  # true support {0, 1}
         est = np.array([1.0, 0.0, 1.0, 0.0])  # picks {0, 2}
         assert support_metrics(est, sig) == (0.5, 0.5)
 
     def test_default_threshold_strips_dust(self):
-        sig = _signal([1.0, 0.0, 0.0])
+        sig = np.array([1.0, 0.0, 0.0])
         est = np.array([1.0, 1e-9, -1e-12])
         assert support_metrics(est, sig) == (1.0, 1.0)
 
@@ -108,7 +100,7 @@ class TestSupportMetrics:
         """Exhaustive over all estimated supports at p=6: precision=recall=1
         exactly when the estimated support equals the true support."""
         p = 6
-        sig = _signal([0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
+        sig = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
         true = {1, 3}
         for bits in range(2 ** p):
             est_support = {j for j in range(p) if bits >> j & 1}
@@ -120,17 +112,17 @@ class TestSupportMetrics:
 class TestClassifyAccuracy:
     def test_true_direction_on_sign_data(self):
         sig = make_signal(5, 2, seed=1)
-        test = generate_dataset(sig, 500, SIGN, seed=2)
-        assert classify_accuracy(sig.beta, test) == 1.0
+        test = generate_dataset(sig, 500, "sign", seed=2)
+        assert classify_accuracy(sig, test) == 1.0
 
     def test_flipped_direction(self):
         sig = make_signal(5, 2, seed=3)
-        test = generate_dataset(sig, 500, SIGN, seed=4)
-        assert classify_accuracy(-sig.beta, test) == 0.0
+        test = generate_dataset(sig, 500, "sign", seed=4)
+        assert classify_accuracy(-sig, test) == 0.0
 
     def test_scale_invariance_exact(self):
         sig = make_signal(6, 3, seed=5)
-        test = generate_dataset(sig, 300, SIGN, seed=6)
+        test = generate_dataset(sig, 300, "sign", seed=6)
         rng = np.random.default_rng(7)
         beta_hat = rng.standard_normal(6)
         base = classify_accuracy(beta_hat, test)
@@ -143,7 +135,7 @@ class TestClassifyAccuracy:
 
     def test_zero_vector(self):
         sig = make_signal(4, 1, seed=8)
-        test = generate_dataset(sig, 50, SIGN, seed=9)
+        test = generate_dataset(sig, 50, "sign", seed=9)
         with pytest.raises(ZeroVector):
             classify_accuracy(np.zeros(4), test)
 

@@ -6,7 +6,6 @@ import pytest
 from oracles import oracle_lasso_small, oracle_project_l1, oracle_pv_linear, oracle_sphere_lasso
 from sixlasso import (
     Dataset,
-    LOGISTIC,
     NegativeRadius,
     fit_lasso,
     generate_dataset,
@@ -83,7 +82,7 @@ class TestOracleLassoSmall:
 
     def test_mutual_bound_with_solver(self):
         sig = make_signal(2, 1, seed=30)
-        data = generate_dataset(sig, 100, LOGISTIC, seed=31)
+        data = generate_dataset(sig, 100, "logistic", seed=31)
         step = 0.01
         fit = fit_lasso(data, 1.0)
         beta_o, obj_o = oracle_lasso_small(data, 1.0, step)
@@ -98,7 +97,7 @@ class TestOracleLassoSmall:
 
     def test_refinement_monotone(self):
         sig = make_signal(2, 2, seed=33)
-        data = generate_dataset(sig, 50, LOGISTIC, seed=34)
+        data = generate_dataset(sig, 50, "logistic", seed=34)
         objs = [oracle_lasso_small(data, 1.0, s)[1] for s in (0.08, 0.04, 0.02)]
         assert objs[1] <= objs[0] and objs[2] <= objs[1]
 
@@ -144,7 +143,7 @@ class TestOracleSphereLasso:
 
     def test_refinement_monotone(self):
         sig = make_signal(2, 1, seed=8)
-        data = generate_dataset(sig, 80, LOGISTIC, seed=9)
+        data = generate_dataset(sig, 80, "logistic", seed=9)
         objs = [oracle_sphere_lasso(data, 1.2, 1.0, s)[1] for s in (0.08, 0.04, 0.02)]
         assert objs[1] <= objs[0] and objs[2] <= objs[1]
 

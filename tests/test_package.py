@@ -3,7 +3,8 @@
 The brute-force oracles that certify the solver, and the Monte Carlo link
 constant that cross-checks compute_lambda, are test code: they live in
 tests/oracles.py, and neither the package nor its public names carry them.
-Nor does it keep the signal modes or the per-rep signal, which no sweep uses.
+Nor does it keep the signal modes or the per-rep signal, which no sweep uses,
+or a wrapper around a link's name or a signal's vector.
 """
 
 import importlib.util
@@ -19,7 +20,9 @@ import sixlasso.model
 ORACLE_NAMES = ("oracle_lasso_small", "oracle_project_l1", "oracle_pv_linear",
                 "oracle_sphere_lasso", "GridSpec")
 ORACLE_ERRORS = ("DimensionTooLarge", "EmptyFeasibleSet")
-REMOVED_NAMES = ("compute_lambda_mc", "rep_signal", "EQUAL_MAGNITUDE", "RANDOM_MAGNITUDE")
+REMOVED_NAMES = ("compute_lambda_mc", "rep_signal", "EQUAL_MAGNITUDE", "RANDOM_MAGNITUDE",
+                 "LinkFunction", "LINEAR", "LOGISTIC", "PROBIT", "SIGN", "BUILTIN_LINKS",
+                 "get_link", "TrueSignal")
 
 
 def test_oracle_module_is_not_shipped():
