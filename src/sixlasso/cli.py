@@ -298,11 +298,13 @@ def read_numeric_csv(path: str, what: str) -> np.ndarray:
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value sweep config; blank lines and #-comments are ignored.
 
+    The file is read as UTF-8; a leading byte order mark is dropped.
+
     A key outside SWEEP_CONFIG_KEYS, or a key given twice, is an input error
     naming its line (both lines for a repeated key).
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc

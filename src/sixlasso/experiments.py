@@ -21,6 +21,7 @@ in the last digit.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import time
@@ -361,8 +362,11 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
 
     Quantiles use the "lower" interpolation convention (always an observed
     value) and are taken over the finite values, so a failed trial's NaN
-    metrics drop out; a cell where every trial failed gives NaN.  Rows come
-    out sorted by (estimator, n, metric order).
+    metrics drop out; a cell where every trial failed gives NaN.  Each
+    group's finite values are sorted once, and its q-quantile is the order
+    statistic at index floor(q (m - 1)) of its m values, which is what
+    np.quantile(..., method="lower") returns.  Rows come out sorted by
+    (estimator, n, metric order).
     """
     if not records:
         raise EmptyRecords("no records to summarize")
@@ -374,8 +378,9 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
         group = cells[(est, n)]
         for name in METRIC_FIELDS:
             vals = np.array([getattr(rec.metrics, name) for rec in group])
-            vals = vals[np.isfinite(vals)]
-            q25, med, q75 = (np.quantile(vals, q, method="lower") if vals.size else np.nan
+            vals = np.sort(vals[np.isfinite(vals)])
+            last = vals.size - 1
+            q25, med, q75 = (float(vals[math.floor(q * last)]) if vals.size else math.nan
                              for q in (0.25, 0.5, 0.75))
-            rows.append(SummaryRow(est, n, name, float(q25), float(med), float(q75)))
+            rows.append(SummaryRow(est, n, name, q25, med, q75))
     return rows

@@ -150,7 +150,8 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     """Sample a dataset from the single-index model with Gaussian design.
 
     signal is beta*, a 1-d float array, and link one of LINK_KINDS (an
-    unknown name raises ValueError, from link_mean).  X entries are i.i.d.
+    unknown name raises ValueError, as does n < 1, before any kept draw is
+    evicted).  X entries are i.i.d.
     N(0,1).  For binary links, y_i = +1 with probability
     (1 + F(x_i'beta))/2 so that E[y_i | x_i] = F(x_i'beta); the sign link is
     thereby deterministic except on the null event x_i'beta = 0.  The linear
@@ -173,6 +174,8 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
             return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if link not in LINK_KINDS:
+        raise ValueError(f"unknown link {link!r}; expected one of {LINK_KINDS}")
     del _KEPT[:-1]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((signal.size, n)).T

@@ -2,15 +2,18 @@
 
 fit_lasso minimizes (1/n)||y - X beta||_2^2 subject to ||beta||_1 <= radius by
 FISTA (accelerated projected gradient, Beck & Teboulle 2009) with exact
-l1-ball projection, an adaptive backtracked step 1/L (Scheinberg, Goldfarb &
-Bai 2014) and a function-value restart (O'Donoghue & Candes 2015).  Once the
-sign pattern of the iterate has held for 2 iterations it tries an exact
-finish: the closed-form minimizer on that support and those signs (the
-active-set step of Osborne, Presnell & Turlach 2000), from one Gram matrix
-X_S'X_S, tested positive definite by a LAPACK Cholesky factorization and
-solved once.  A finish that fails the certificate but lowers the objective
-becomes the iterate, and the momentum restarts from it.  It has one stop
-rule: the gradient-mapping certificate
+l1-ball projection.  It starts at the fit's own Plan-Vershynin point: the pv
+direction of X'y (E[yx] = lambda beta*, Plan & Vershynin 2016), scaled by the
+exact line-search minimizer along it and capped at the l1 sphere, which lies
+near where the lasso ends.  Its steps use an adaptive backtracked step 1/L
+(Scheinberg, Goldfarb & Bai 2014) and a function-value restart (O'Donoghue &
+Candes 2015).  Once the sign pattern of the iterate has held for 2
+iterations it tries an exact finish: the closed-form minimizer on that
+support and those signs (the active-set step of Osborne, Presnell &
+Turlach 2000), from one Gram matrix X_S'X_S, tested positive definite by a
+LAPACK Cholesky factorization and solved once.  A finish that fails the
+certificate but lowers the objective becomes the iterate, and the momentum
+restarts from it.  It has one stop rule: the gradient-mapping certificate
 ||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks whenever a
 step moves the iterate by at most 1e-6 and which the exact finish must
 pass.  Every product with the support columns X_S, X_S'X_S among them,
@@ -18,7 +21,7 @@ runs over blocks of 256 rows (X_S'X_S through one reused |S| x |S|
 buffer), so a fit holds O(n + p + 256|S| + |S|^2) floats beside X and
 never gathers X_S whole.  pv_linear_fit maximizes <X'y, beta>
 over the intersection of an l1 ball and the unit l2 ball, the classical
-one-bit recovery baseline.
+one-bit recovery baseline; its rule also gives fit_lasso's start direction.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ class FitResult:
     backtracks is the number of failed sufficient-decrease tests;
     converged is true when the fit stopped on its own, not by running out of
     max_iter, and fp_residual <= 1e-6, the fit's only stop test;
-    objective_path records the accepted objective value at every iteration,
-    plus one entry for every rejected exact finish the fit adopted and one
-    last entry when an accepted exact finish ends the fit (non-increasing:
-    the restart rejects any extrapolated step that would raise it, a
-    rejected finish is adopted only if it lowers it, and an accepted one
-    may not raise it beyond rounding).
+    objective_path starts with the objective at the fit's start (the pv
+    point, or 0; see fit_lasso), then records the accepted objective value
+    at every iteration, plus one entry for every rejected exact finish the
+    fit adopted and one last entry when an accepted exact finish ends the
+    fit (non-increasing: the restart rejects any extrapolated step that
+    would raise it, a rejected finish is adopted only if it lowers it, and
+    an accepted one may not raise it beyond rounding).
     """
 
     beta_hat: np.ndarray
@@ -196,7 +200,24 @@ def _normal_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray | None:
 def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
-    FISTA from beta = 0.  Each iteration takes the projected step
+    FISTA from the pv point of the fit's own data.  With g = X'y and w the
+    pv direction of g at l1 radius max(radius, 1) (pv_linear_fit's rule,
+    which takes no radius below 1), the start is beta_0 = t w with
+    t = <Xw, y>/||Xw||^2, the exact minimizer of the objective along w,
+    capped at radius/||w||_1 so that beta_0 lies in the ball (on its
+    sphere, to rounding, where the cap binds).  Xw is a support product
+    over w's support, so the start costs that product and the one gradient
+    at beta_0.  The start stays at 0 when ||g||_2 is 0 or
+    not finite, or when t is not above 0 (a NaN included); the gradient
+    there is g (-2/n).  By the linear equivalence E[yx] = lambda beta*
+    (Plan & Vershynin 2016) beta_0 sits near the lasso's end, along beta*
+    with a norm near lambda, so the first accelerated steps do not spread
+    the support over hundreds of columns, as they do from 0 when n << p.
+    The start depends on (X, y, radius) alone, and on (cX, cy) it is the
+    same point up to rounding.  objective_path[0] is the objective at the
+    start.
+
+    Each iteration takes the projected step
     x+ = P(s - grad(s)/L) from s, the extrapolated point
     z = beta + ((t - 1)/t')(beta - beta_prev), whose residual and gradient
     are the same combinations of the last two, so an accepted iteration
@@ -220,8 +241,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     over the last iterate's arrays, which nothing reads after that.  The
     sign pattern of beta is tracked on its support: the support S of x+,
     which the X @ product needs anyway, and sign(beta_S), compared with the
-    last iteration's S and signs.  None of this changes a floating-point
-    operation or its order.
+    last iteration's S and signs (the start's, at the first iteration).
+    None of this changes a floating-point operation or its order.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
     |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows, each
@@ -384,17 +405,34 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             return False, cand, r_new, g_new, f_new, cert
         return None
 
-    beta = np.zeros(p)
-    resid = -y  # X @ 0 - y
-    f = float(y @ y) / n
-    grad = gradient(resid)
+    # the pv start t w (see above), or 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y starts at 0
+        xty = X.T @ y
+        xty_norm = np.linalg.norm(xty)
+    beta, t_start = np.zeros(p), 0.0
+    if math.isfinite(xty_norm) and xty_norm > 0.0:
+        w = _pv_direction(xty, xty_norm, max(radius, 1.0))
+        S = w.nonzero()[0]
+        xw = _support_product(X, S, w[S])
+        with np.errstate(all="ignore"):
+            t_start = min(float((xw @ y) / (xw @ xw)), radius / float(np.abs(w).sum()))
+    if t_start > 0.0:  # False for a NaN too
+        beta[S] = t_start * w[S]
+        xw *= t_start
+        resid = np.subtract(xw, y, out=xw)
+        grad = gradient(resid)
+    else:
+        resid = -y  # X @ 0 - y
+        grad = np.multiply(xty, -2.0 / n, out=xty)  # the gradient at 0, (2/n) X'(0 - y)
+    f = float(resid @ resid) / n
     path = [f]
 
     # z is the extrapolated point each step starts from (beta while mom is 0)
     t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
     # beta's sign pattern, as its support and the signs there, and its age in
     # iterations
-    supp, signs, stable = np.flatnonzero(beta), np.zeros(0), 0
+    supp = np.flatnonzero(beta)
+    signs, stable = np.sign(beta[supp]), 0
     fp_residual = None  # certificate at beta, once computed
     stopped = finished = False
     for iterations in range(1, max_iter + 1):
@@ -483,6 +521,9 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     When at least R^2 entries tie for the largest |g|, no threshold reaches
     the l1 sphere, and the maximizer is that tied face scaled onto it.
 
+    fit_lasso starts along this maximizer at l1 radius max(radius, 1):
+    both run the rule after X'y through one private helper.
+
     A NaN l1_radius, or one below 1, raises ValueError, and so does an X'y
     that is not finite or whose l2 norm overflows: the message says whether
     X or y has NaN or infinite entries or the product overflows.  X'y = 0
@@ -504,6 +545,12 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
         raise ValueError("X'y or its l2 norm overflows")
     if gnorm == 0.0:
         raise ZeroGradient("X'y = 0: no directional information in the data")
+    return _pv_direction(g, gnorm, l1_radius)
+
+
+def _pv_direction(g: np.ndarray, gnorm: float, l1_radius: float) -> np.ndarray:
+    """pv_linear_fit's maximizer for g = X'y, of finite l2 norm gnorm > 0,
+    at l1_radius >= 1."""
     w = g / gnorm
     if np.abs(w).sum() <= l1_radius:
         return w

@@ -412,6 +412,20 @@ class TestSweepCommand:
             texts.append(out.read_text())
         assert strip_runtime(texts[0]) == strip_runtime(texts[1])
 
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        # editors on Windows save UTF-8 with a BOM: it is not part of the
+        # first key, and the sweep runs as from the plain file
+        texts = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            config = tmp_path / f"{encoding}.cfg"
+            config.write_text(SMOKE_CONFIG, encoding=encoding)
+            out = tmp_path / f"{encoding}.csv"
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+            assert (code, err) == (0, "")
+            texts.append(strip_runtime(out.read_text()))
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert texts[0] == texts[1]
+
     def test_missing_required_key_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("p = 10\n")

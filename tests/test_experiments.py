@@ -534,6 +534,22 @@ class TestSummarize:
         # a failure still counts as direction error 2: without it q75 would be 0.2
         assert (rows["direction_error"].median, rows["direction_error"].q75) == (0.2, 0.3)
 
+    def test_matches_numpy_lower_quantiles(self):
+        # one sort per group and its order statistics at floor(q (m - 1))
+        # give what np.quantile's "lower" method gives, bit for bit
+        rng = np.random.default_rng(17)
+        for size in range(1, 51):
+            vals = rng.standard_normal(size)
+            vals[rng.random(size) < 0.2] = np.nan
+            records = [_record("lasso", 50, i, v) for i, v in enumerate(vals)]
+            row = summarize(records)[0]
+            finite = vals[np.isfinite(vals)]
+            if not finite.size:
+                assert np.isnan([row.q25, row.median, row.q75]).all()
+                continue
+            want = [float(np.quantile(finite, q, method="lower")) for q in (0.25, 0.5, 0.75)]
+            assert [row.q25, row.median, row.q75] == want, size
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_failed_cell_is_nan(self):
         failed = [dataclasses.replace(_record("pv", 80, i, 0.0), metrics=_failed_metrics(0.5),

@@ -274,6 +274,15 @@ class TestKeptDraws:
         cold = generate_dataset(sig, 50, "logistic", 7)
         np.testing.assert_array_equal(fresh.y, cold.y)
 
+    @pytest.mark.parametrize("bad", [dict(link="cauchy"), dict(n=0)], ids=["link", "n"])
+    def test_refused_call_evicts_nothing(self, bad):
+        first = generate_dataset(**self.ARGS)
+        second = generate_dataset(**dict(self.ARGS, seed=22))
+        with pytest.raises(ValueError):
+            generate_dataset(**dict(self.ARGS, seed=3, **bad))
+        assert generate_dataset(**self.ARGS) is first
+        assert generate_dataset(**dict(self.ARGS, seed=22)) is second
+
     def test_two_other_draws_evict_the_first(self):
         first = generate_dataset(**self.ARGS)
         X, y = first.X.copy(), first.y.copy()

@@ -277,21 +277,29 @@ class TestFitLasso:
             assert fit.converged
             assert fit.iterations <= 400
 
-    def test_start_below_half_the_top_eigenvalue(self):
-        # three strongly correlated columns: each diagonal entry of (2/n) X'X
-        # is about a third of its top eigenvalue, so L starts below half of
-        # it, and backtracking must raise it
+    @staticmethod
+    def _correlated_design(beta):
+        """Three strongly correlated columns, with y = X beta plus noise: each
+        diagonal entry of (2/n) X'X is about a third of its top eigenvalue."""
         rng = np.random.default_rng(0)
         n = 40
         X = rng.standard_normal(n)[:, None] + 0.3 * rng.standard_normal((n, 3))
-        y = X @ np.array([0.6, 0.3, 0.4]) + 0.1 * rng.standard_normal(n)
+        y = X @ np.array(beta) + 0.1 * rng.standard_normal(n)
         top = float(np.linalg.eigvalsh((2.0 / n) * X.T @ X)[-1])
+        return X, y, top
+
+    def test_start_below_half_the_top_eigenvalue(self):
+        # L starts below half the top eigenvalue; the fit starts near the top
+        # eigenvector, along X'y, and its steps across the flat directions
+        # need no backtrack, so L may end below its start but not above twice
+        # the top
+        X, y, top = self._correlated_design([0.6, 0.3, 0.4])
         start = lipschitz_estimate(X)
         assert start < 0.5 * top
         fit = fit_lasso(_dataset(X, y), radius=1.0)
         assert fit.converged
         assert np.all(np.diff(fit.objective_path) <= 0.0)
-        assert start < fit.lipschitz <= 2.0 * top
+        assert 0.0 < fit.lipschitz <= 2.0 * top
         # on the face b1 + b2 + b3 = 1, the KKT system
         # [X'X 1; 1' 0][b; nu] = [X'y; 1] has b > 0 and nu > 0: the minimizer
         ones = np.ones((3, 1))
@@ -299,6 +307,19 @@ class TestFitLasso:
         b_nu = np.linalg.solve(kkt, np.append(X.T @ y, 1.0))
         assert np.all(b_nu > 0.0)
         np.testing.assert_allclose(fit.beta_hat, b_nu[:3], rtol=0, atol=1e-12)
+
+    def test_backtracking_lifts_the_step_constant_above_a_low_start(self):
+        # a signal of mixed signs: X'y leans off the top eigenvector, the
+        # steps meet its curvature, and backtracking must raise L above a
+        # start below half of it
+        X, y, top = self._correlated_design([0.6, 0.3, -0.4])
+        start = lipschitz_estimate(X)
+        assert start < 0.5 * top
+        fit = fit_lasso(_dataset(X, y), radius=1.0)
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_path) <= 0.0)
+        assert fit.backtracks > 0
+        assert start < fit.lipschitz <= 2.0 * top
 
     def test_rejected_finish_that_lowers_the_objective_is_adopted(self):
         # objective_path holds one entry per iteration, one for the start and
@@ -412,6 +433,65 @@ class TestFitLasso:
         scaled = fit_lasso(_dataset(c * X, c * y), radius)
         np.testing.assert_allclose(scaled.beta_hat, fit.beta_hat, rtol=0, atol=1e-9)
         assert scaled.converged == fit.converged
+
+
+def _pv_start(data, radius):
+    """fit_lasso's start, recomputed: t w for the pv direction w at radius
+    max(radius, 1) and the line-search minimizer t along it, capped at the
+    l1 sphere."""
+    w = pv_linear_fit(data, max(radius, 1.0))
+    Xw = data.X @ w
+    t = min(float(Xw @ data.y) / float(Xw @ Xw), radius / float(np.abs(w).sum()))
+    return t * w
+
+
+class TestPVStart:
+    """fit_lasso starts at the pv point of its own data, not at 0."""
+
+    @staticmethod
+    def _objective(data, beta):
+        r = data.X @ beta - data.y
+        return float(r @ r) / data.n
+
+    @pytest.mark.parametrize("radius", [np.sqrt(5.0), 0.3])
+    def test_objective_path_starts_at_the_pv_point(self, radius):
+        sig = make_signal(200, 5, seed=2)
+        data = generate_dataset(sig, 60, "logistic", seed=3)
+        start = _pv_start(data, radius)
+        fit = fit_lasso(data, radius)
+        assert fit.converged
+        assert np.abs(start).sum() <= radius * (1 + 1e-15)
+        assert fit.objective_path[0] < float(data.y @ data.y) / data.n
+        assert fit.objective_path[0] == pytest.approx(self._objective(data, start), rel=1e-12)
+
+    def test_radius_below_one_starts_inside_the_ball(self):
+        # pv takes no radius below 1: the direction comes from radius 1, and
+        # the cap at the sphere pulls the line-search minimizer inside
+        sig = make_signal(200, 5, seed=2)
+        data = generate_dataset(sig, 60, "logistic", seed=3)
+        w = pv_linear_fit(data, 1.0)
+        Xw = data.X @ w
+        assert float(Xw @ data.y) / float(Xw @ Xw) * np.abs(w).sum() > 0.3
+        start = _pv_start(data, 0.3)
+        assert np.abs(start).sum() == pytest.approx(0.3, rel=1e-15)
+        fit = fit_lasso(data, 0.3)
+        assert fit.objective_path[0] == pytest.approx(self._objective(data, start), rel=1e-12)
+
+    def test_zero_correlation_starts_at_zero(self):
+        # X'y = 0: there is no direction, and the fit stays at 0
+        X = np.array([[1.0, 2.0], [1.0, 2.0]])
+        fit = fit_lasso(_dataset(X, [1.0, -1.0]), radius=1.0)
+        assert fit.converged
+        assert fit.objective_path[0] == 1.0
+        np.testing.assert_array_equal(fit.beta_hat, [0.0, 0.0])
+
+    def test_zero_radius_starts_and_ends_at_zero(self):
+        sig = make_signal(50, 3, seed=4)
+        data = generate_dataset(sig, 30, "probit", seed=5)
+        fit = fit_lasso(data, radius=0.0)
+        assert fit.converged
+        assert fit.objective_path[0] == float(data.y @ data.y) / data.n
+        np.testing.assert_array_equal(fit.beta_hat, np.zeros(50))
 
 
 def _assert_pv_kkt(g, w, radius):
