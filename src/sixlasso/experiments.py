@@ -52,7 +52,7 @@ THREADS_ENV = "SIXLASSO_THREADS"
 
 ESTIMATORS = ("lasso", "pv")
 
-RADIUS_RULES = ("sqrt_s", "two_sqrt_s_over_lambda", "explicit")
+RADIUS_RULES = ("sqrt_s", "explicit")
 
 _MASK64 = (1 << 64) - 1
 _TEST_TAG = 0x74657374  # ascii "test": separates the held-out stream
@@ -84,13 +84,14 @@ class SweepSpec:
     """Every setting of one Monte Carlo sweep: the spec alone fixes its records.
 
     radius_rule picks the l1 budget per trial: "sqrt_s" (sqrt(s), the
-    effective-sparsity radius), "two_sqrt_s_over_lambda" (2 sqrt(s) / lambda),
-    or "explicit" with radius_value.  estimators are canonicalized to
-    ("lasso", "pv") order so that trial ids do not depend on input order.
+    effective-sparsity radius) or "explicit" with radius_value.  estimators
+    are canonicalized to ("lasso", "pv") order so that trial ids do not
+    depend on input order.
     One s-sparse random-magnitude signal, drawn from the base seed, serves
     every trial of the sweep.  p, s, reps, base_seed, test_n and the n_grid
     entries must be integers (numpy integers included); a float such as
-    50.7 is a ValueError, not truncated.
+    50.7 is a ValueError, not truncated.  base_seed must lie in [0, 2^64),
+    the range mix64 reads whole: outside it two seeds would give one sweep.
 
     test_n is the number of held-out rows each trial scores test_accuracy
     on.  The rows are drawn in the plane of beta* and beta_hat (two normals
@@ -129,6 +130,8 @@ class SweepSpec:
             raise ValueError("sample sizes must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
         if not 1 <= self.s <= self.p:
             raise ValueError(f"need 1 <= s <= p, got s={self.s}, p={self.p}")
         if self.radius_rule not in RADIUS_RULES:
@@ -213,11 +216,10 @@ def resolve_lambda(spec: SweepSpec) -> float:
 
 
 def resolve_radius(spec: SweepSpec) -> float:
-    if spec.radius_rule == "sqrt_s":
-        return float(np.sqrt(spec.s))
+    """The l1 radius of every lasso and pv fit of the sweep."""
     if spec.radius_rule == "explicit":
         return float(spec.radius_value)
-    return float(2.0 * np.sqrt(spec.s) / resolve_lambda(spec))
+    return float(np.sqrt(spec.s))
 
 
 def sweep_signal(spec: SweepSpec) -> np.ndarray:
@@ -248,7 +250,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     estimator).  Either way a rep's trials share its two kept draws, which
     generate_dataset matches by value.
     A lasso fit runs to fit_lasso's fixed MAX_ITER cap; one that stops
-    there unconverged is recorded with converged False.
+    there unconverged is recorded with converged False.  At n < p a fit
+    that ends strictly inside the l1 ball interpolates, its minimizers form
+    a set, and the record shows the one FISTA reaches from the pv start
+    (explicit radii well above lambda ||beta*||_1 do this, and so does the
+    noiseless linear link at sqrt(s)).
     The trial fits the first n rows of its rep's draw, seeded by
     rep_seed(spec, rep), and is scored on the rep's held-out set (see the
     module docstring); the draws are read-only.

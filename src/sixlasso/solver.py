@@ -26,7 +26,6 @@ one-bit recovery baseline; its rule also gives fit_lasso's start direction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,15 +77,6 @@ class FitResult:
     objective_path: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
-def _ranks(m: int) -> np.ndarray:
-    """1.0, 2.0, ..., m, read-only: the divisors of project_l1_ball's
-    thresholds, which a fit needs at one length for every call."""
-    ks = np.arange(1.0, m + 1.0)
-    ks.flags.writeable = False
-    return ks
-
-
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}.
 
@@ -121,7 +111,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     thresholds = u.cumsum()
     thresholds -= radius
-    thresholds /= _ranks(u.size)
+    thresholds /= np.arange(1.0, u.size + 1.0)
     hits = (u > thresholds).nonzero()[0]
     # radius >= ulp(max|v|) guarantees k=1 qualifies; below that (incl. radius
     # 0) thresholding at the top magnitude is the exact projection

@@ -451,10 +451,13 @@ class TestSweepCommand:
             assert repr(key.split()[0]) in err and "line 10" in err
             assert not out.exists()
 
-    # a sweep runs every fit to the solver's fixed cap and has no raw_s radius
-    @pytest.mark.parametrize("line, named", [("max_iter = 10", "'max_iter'"),
-                                             ("radius_rule = raw_s", "'raw_s'")],
-                             ids=["max_iter", "raw_s"])
+    # a sweep runs every fit to the solver's fixed cap, and its radius is
+    # sqrt(s) or the explicit value
+    @pytest.mark.parametrize("line, named", [
+        ("max_iter = 10", "'max_iter'"),
+        ("radius_rule = raw_s", "'raw_s'"),
+        ("radius_rule = two_sqrt_s_over_lambda", "'two_sqrt_s_over_lambda'"),
+    ], ids=["max_iter", "raw_s", "two_sqrt_s_over_lambda"])
     def test_removed_setting_in_config_is_input_error(self, tmp_path, capsys, line, named):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG + line + "\n")
@@ -462,6 +465,27 @@ class TestSweepCommand:
                                  "--out", str(tmp_path / "r.csv"))
         assert (code, out) == (2, "")
         assert named in err
+        assert os.listdir(tmp_path) == ["sweep.cfg"]
+
+    def test_removed_radius_rule_flag_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config),
+                                 "--out", str(tmp_path / "r.csv"),
+                                 "--radius-rule", "two_sqrt_s_over_lambda")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sixlasso sweep")
+        assert "invalid choice: 'two_sqrt_s_over_lambda'" in err
+        assert os.listdir(tmp_path) == ["sweep.cfg"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_input_error(self, tmp_path, capsys, seed):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config),
+                                 "--out", str(tmp_path / "r.csv"), "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "base_seed must lie in [0, 2**64)" in err
         assert os.listdir(tmp_path) == ["sweep.cfg"]
 
     def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):

@@ -107,9 +107,15 @@ class TestSweepSpecValidation:
         smoke_spec(estimators=("pv",), radius_rule="explicit", radius_value=1.0)
 
     def test_radius_value_needs_explicit_rule(self):
-        for rule in ("sqrt_s", "two_sqrt_s_over_lambda"):
-            with pytest.raises(ValueError, match="explicit"):
-                smoke_spec(radius_rule=rule, radius_value=0.01)
+        with pytest.raises(ValueError, match="explicit"):
+            smoke_spec(radius_rule="sqrt_s", radius_value=0.01)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits_rejected(self, seed):
+        # mix64 reads 64 bits: -1 would alias 2**64 - 1, and 2**64 alias 0
+        with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\*\*64\)"):
+            smoke_spec(base_seed=seed)
+        assert smoke_spec(base_seed=2**64 - 1).base_seed == 2**64 - 1
 
     @pytest.mark.parametrize("field, value", [
         ("n_grid", (50.7, 100)), ("n_grid", (50, 100.0)), ("reps", 2.5),
@@ -134,11 +140,6 @@ class TestRadiusRules:
     def test_explicit(self):
         spec = smoke_spec(radius_rule="explicit", radius_value=3.5)
         assert resolve_radius(spec) == 3.5
-
-    def test_lambda_scaled(self):
-        spec = smoke_spec(radius_rule="two_sqrt_s_over_lambda")
-        lam = compute_lambda("logistic")
-        assert resolve_radius(spec) == pytest.approx(2.0 * np.sqrt(2.0) / lam)
 
 
 class TestTrialIdentity:
@@ -228,7 +229,7 @@ class TestRunTrial:
         assert a.seed != b.seed
         assert np.count_nonzero(sig) == spec.s
 
-    @pytest.mark.parametrize("rule", ["sqrt_s", "two_sqrt_s_over_lambda", "explicit"])
+    @pytest.mark.parametrize("rule", ["sqrt_s", "explicit"])
     def test_standalone_trial_matches_the_sweep(self, rule):
         # run_trial derives lambda and the radius from the spec itself
         spec = smoke_spec(estimators=("lasso", "pv"), radius_rule=rule,
