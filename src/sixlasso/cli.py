@@ -11,6 +11,10 @@ with 17 significant digits so that write -> parse -> write is the identity
 on doubles.  All files are written atomically (temp file + rename), with the
 mode a plain open() would give a new file (0o666 less the umask).
 
+`sweep --out PATH` writes three files, named from PATH alone: the records
+PATH, the summary <stem>_summary.csv and the SVG chart <stem>.svg, where
+<stem> is PATH less a trailing `.csv`.  No flag or config key renames them.
+
 The records CSV (`sweep --out`) has a header line and one row per trial,
 sorted by trial_id, with the columns, in order:
 
@@ -43,7 +47,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import os
 import sys
 import tempfile
@@ -329,8 +332,7 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str,
-          default=None, required=False):
+def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str, required=False):
     val = getattr(flags, key, None)  # None too for a config-only key: it has no flag
     if val is not None:
         return val
@@ -342,7 +344,7 @@ def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str,
             raise InputError(f"config key {key}: {exc}") from exc
     if required:
         raise InputError(f"missing required setting {key!r} (flag or config)")
-    return default
+    return None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -370,7 +372,7 @@ _SPEC_SETTINGS = {
 _CONFIG_ONLY = ("test_n",)
 # the SweepSpec fields named otherwise than their config keys
 _SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed"}
-_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "out": (str, None), "out_svg": (str, None)}
+_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "out": (str, None)}
 SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 
 
@@ -449,7 +451,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_spec_from(args) -> tuple[SweepSpec, str, str]:
+def _sweep_spec_from(args) -> tuple[SweepSpec, str]:
     cfg = load_config(args.config) if args.config else {}
     given = {}
     for key in _SPEC_SETTINGS:
@@ -457,23 +459,14 @@ def _sweep_spec_from(args) -> tuple[SweepSpec, str, str]:
         if value is not None:
             given[_SPEC_FIELDS.get(key, key)] = value
     spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
-    out = _pick(args, cfg, "out", required=True)
-    out_svg = _pick(args, cfg, "out_svg", default=out.removesuffix(".csv") + ".svg")
-    return spec, out, out_svg
-
-
-def summary_path_for(records_path: str) -> str:
-    return records_path.removesuffix(".csv") + "_summary.csv"
+    return spec, _pick(args, cfg, "out", required=True)
 
 
 def cmd_sweep(args) -> int:
-    spec, out, out_svg = _sweep_spec_from(args)
-    summary_path = summary_path_for(out)
-    named = (("records", out), ("summary", summary_path), ("SVG", out_svg))
-    for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
-        if os.path.realpath(path_a) == os.path.realpath(path_b):
-            raise InputError(f"the {b} output {path_b} would overwrite "
-                             f"the {a} output {path_a}")
+    spec, out = _sweep_spec_from(args)
+    stem = out.removesuffix(".csv")
+    summary_path, svg_path = stem + "_summary.csv", stem + ".svg"
+    named = (("records", out), ("summary", summary_path), ("SVG", svg_path))
     # a path that cannot be written would otherwise show only after every trial
     for what, path in named:
         if os.path.isdir(path):
@@ -484,10 +477,10 @@ def cmd_sweep(args) -> int:
     rows = summarize(records)
     write_text_atomic(out, records_csv_text(records))
     write_text_atomic(summary_path, summary_csv_text(rows))
-    write_text_atomic(out_svg, sweep_svg_text(rows))
+    write_text_atomic(svg_path, sweep_svg_text(rows))
     print(f"wrote {out}")
     print(f"wrote {summary_path}")
-    print(f"wrote {out_svg}")
+    print(f"wrote {svg_path}")
     return 0
 
 

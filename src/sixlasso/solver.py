@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
 from .model import Dataset
 
-MAX_ITER = 5000  # fit_lasso's default cap; sweeps and `sixlasso fit` always use it
+MAX_ITER = 5000  # fit_lasso's iteration cap
 _CERT_TOL = 1e-6
 _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 2  # iterations a sign pattern holds before the exact finish is tried
@@ -57,7 +57,7 @@ class FitResult:
     of the start);
     backtracks is the number of failed sufficient-decrease tests;
     converged is true when the fit stopped on its own, not by running out of
-    max_iter, and fp_residual <= 1e-6, the fit's only stop test;
+    MAX_ITER iterations, and fp_residual <= 1e-6, the fit's only stop test;
     objective_path starts with the objective at the fit's start (the pv
     point, or 0; see fit_lasso), then records the accepted objective value
     at every iteration, plus one entry for every rejected exact finish the
@@ -187,7 +187,7 @@ def _normal_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(G, B)
 
 
-def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResult:
+def fit_lasso(data: Dataset, radius: float) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
     FISTA from the pv point of the fit's own data.  With g = X'y and w the
@@ -270,8 +270,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     1e-6 of the point its step started from.  The loop also stops, and
     gives up honestly, when that distance is exactly 0 or when the step
     from beta rises by rounding; converged is true only when the
-    certificate passes.  A fit that runs out of max_iter is never
-    converged.
+    certificate passes.  A fit that runs out of its MAX_ITER = 5000
+    iterations is never converged.
 
     Memory: beyond X (and its copy, if X is row-major) a fit holds
     O(n + p + 256|S| + |S|^2) floats: n- and p-vectors, one 256-row block
@@ -283,16 +283,14 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
-    infinite entry in X or y, a non-finite radius, or max_iter < 1 raises
-    ValueError, and so does an X whose squared column norms overflow; an X
+    infinite entry in X or y, or a non-finite radius, raises ValueError,
+    and so does an X whose squared column norms overflow; an X
     whose squares all underflow to 0 raises ZeroMatrix (lipschitz_estimate).
     """
     if not np.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
     if radius < 0:
         raise NegativeRadius(f"radius must be >= 0, got {radius}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     # contiguous columns, so that a row block of X_S reads runs of whole
     # columns: a no-op for generate_dataset's column-major X and for a row
     # prefix of it (a sweep fits the first n rows of its rep's draw; the
@@ -345,10 +343,11 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
 
     def exact_finish(b, S, sigma, r, g, fb):
         """The exact minimizer on b's support S and signs sigma, projected
-        onto the ball, as (accepted, beta, residual, gradient, objective,
-        certificate), or None.  accepted is true when it passes the
-        certificate and the objective test; a rejected one comes back only
-        if it lowers the objective, for the loop to adopt."""
+        onto the ball, as (beta, residual, gradient, objective,
+        certificate), or None.  Any point that comes back has passed the
+        objective test, so it is accepted when its certificate is at most
+        _CERT_TOL; a rejected one comes back only if it lowers the
+        objective, for the loop to adopt."""
         if not 0 < S.size <= n:
             return None
         gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
@@ -378,21 +377,20 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
             d = cand[S] - b[S]
             Xd = _support_product(X, S, d)
             delta = float(g[S] @ d) + float(Xd @ Xd) / n
-            if delta > _FINISH_SLACK * fb:
-                # too high to accept, and above 0, so not adopted either:
-                # dropped before its gradient and certificate
+            if not delta <= _FINISH_SLACK * fb:
+                # too high (or NaN) to accept, and not below 0, so not
+                # adopted either: dropped before its gradient and certificate
                 return None
             r_new = r + Xd
             g_new = gradient(r_new)
             cert = cert_residual(cand, g_new)
         f_new = float(r_new @ r_new) / n
-        if cert <= _CERT_TOL and delta <= _FINISH_SLACK * fb:
+        if cert <= _CERT_TOL or (delta < 0.0 and f_new <= fb):
             # fb + delta cancels to rounding (even below 0) where the fit
             # interpolates; the new residual does not, and the cap at fb
-            # keeps objective_path monotone when delta > 0 by rounding
-            return True, cand, r_new, g_new, min(f_new, fb), cert
-        if delta < 0.0 and f_new <= fb:
-            return False, cand, r_new, g_new, f_new, cert
+            # keeps objective_path monotone when delta > 0 by rounding (an
+            # adopted finish has f_new <= fb, which the cap leaves alone)
+            return cand, r_new, g_new, min(f_new, fb), cert
         return None
 
     # the pv start t w (see above), or 0
@@ -425,7 +423,7 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
     signs, stable = np.sign(beta[supp]), 0
     fp_residual = None  # certificate at beta, once computed
     stopped = finished = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         L *= _STEP_SHRINK
         candidate, S, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
         if f_new > f and mom != 0.0:
@@ -457,10 +455,10 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         if stable == _STABLE_ITERS:
             finish = exact_finish(beta, supp, signs, resid, grad, f)
             if finish is not None:
-                finished, beta, resid, grad, f, fp_residual = finish
+                beta, resid, grad, f, fp_residual = finish
                 path.append(f)
-                if finished:
-                    stopped = True
+                if fp_residual <= _CERT_TOL:
+                    stopped = finished = True
                     break
                 # adopt the rejected finish, which lowers the objective, and
                 # restart the momentum from it
@@ -480,8 +478,8 @@ def fit_lasso(data: Dataset, radius: float, max_iter: int = MAX_ITER) -> FitResu
         # every stop of the loop's own tries the finish: a stop on a rounding
         # rise can come one iteration earlier on (cX, cy) than on (X, y)
         finish = exact_finish(beta, supp, signs, resid, grad, f)
-        if finish is not None and finish[0]:
-            finished, beta, resid, grad, f, fp_residual = finish
+        if finish is not None and finish[-1] <= _CERT_TOL:
+            beta, resid, grad, f, fp_residual = finish
             path.append(f)
     if fp_residual is None:
         fp_residual = cert_residual(beta, grad)

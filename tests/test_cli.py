@@ -20,7 +20,6 @@ from sixlasso.cli import (
     main,
     parse_records_csv,
     records_csv_text,
-    summary_path_for,
     write_text_atomic,
 )
 from sixlasso.experiments import TrialRecord, _failed_metrics, signal_seed
@@ -109,6 +108,10 @@ class TestLambdaCommand:
         assert main(["fit", str(tmp_path / "X.csv"), str(tmp_path / "y.csv"),
                      "--radius", "1", "--out", str(tmp_path / "fit.txt"),
                      "--max-iter", "5"]) == 2
+        # a sweep's summary and SVG are named from --out, which no flag overrides
+        assert main(["sweep", "--p", "10", "--s", "2", "--n-grid", "50", "--reps", "1",
+                     "--out", str(tmp_path / "r.csv"),
+                     "--out-svg", str(tmp_path / "x.svg")]) == 2
         assert sorted(os.listdir(tmp_path)) == ["X.csv", "y.csv"]
 
 
@@ -357,19 +360,18 @@ class TestSweepCommand:
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)
         out = tmp_path / "records.csv"
-        svg = tmp_path / "chart.svg"
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(config),
-                             "--out", str(out), "--out-svg", str(svg))
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
         assert code == 0
+        # the summary and the SVG are named from --out
+        assert sorted(os.listdir(tmp_path)) == ["records.csv", "records.svg",
+                                                "records_summary.csv", "sweep.cfg"]
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 4 trials
         assert lines[0] == ("trial_id,seed,estimator,n,p,s,link,radius,"
                             "direction_error,raw_l2_error,norm_beta_hat,norm_gap,"
                             "support_precision,support_recall,test_accuracy,"
                             "iterations,converged,runtime_ms")
-        summary = summary_path_for(str(out))
-        assert os.path.exists(summary)
-        tree = ET.parse(svg)  # well-formed XML
+        tree = ET.parse(tmp_path / "records.svg")  # well-formed XML
         ns = {"svg": "http://www.w3.org/2000/svg"}
         polylines = tree.getroot().findall(".//svg:polyline", ns)
         assert len(polylines) == 1
@@ -451,13 +453,14 @@ class TestSweepCommand:
             assert repr(key.split()[0]) in err and "line 10" in err
             assert not out.exists()
 
-    # a sweep runs every fit to the solver's fixed cap, and its radius is
-    # sqrt(s) or the explicit value
+    # a sweep runs every fit to the solver's fixed cap, its radius is
+    # sqrt(s) or the explicit value, and its outputs are named from --out
     @pytest.mark.parametrize("line, named", [
         ("max_iter = 10", "'max_iter'"),
         ("radius_rule = raw_s", "'raw_s'"),
         ("radius_rule = two_sqrt_s_over_lambda", "'two_sqrt_s_over_lambda'"),
-    ], ids=["max_iter", "raw_s", "two_sqrt_s_over_lambda"])
+        ("out_svg = x.svg", "'out_svg'"),
+    ], ids=["max_iter", "raw_s", "two_sqrt_s_over_lambda", "out_svg"])
     def test_removed_setting_in_config_is_input_error(self, tmp_path, capsys, line, named):
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG + line + "\n")
@@ -555,14 +558,27 @@ class TestSweepCommand:
         monkeypatch.setattr("sixlasso.cli.run_sweep", no_sweep)
         config = tmp_path / "sweep.cfg"
         config.write_text(SMOKE_CONFIG)
-        (tmp_path / "existing_dir").mkdir()
-        out = str(tmp_path / "r.csv")
-        for svg in (tmp_path / "missing_dir" / "x.svg", tmp_path / "existing_dir"):
-            code, _, err = run_cli(capsys, "sweep", "--config", str(config),
-                                   "--out", out, "--out-svg", str(svg))
-            assert code == 3
-            assert f"SVG output {svg}" in err
-        assert sorted(os.listdir(tmp_path)) == ["existing_dir", "sweep.cfg"]
+        svg = tmp_path / "r.svg"
+        svg.mkdir()
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config),
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 3
+        assert f"the SVG output {svg} is a directory" in err
+        assert sorted(os.listdir(tmp_path)) == ["r.svg", "sweep.cfg"]
+        assert os.listdir(svg) == []
+
+    def test_svg_symlink_to_the_records_leaves_the_records(self, tmp_path, capsys):
+        # the atomic rename replaces the link itself, not the file it names
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        out = tmp_path / "r.csv"
+        (tmp_path / "r.svg").symlink_to("r.csv")
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert code == 0
+        assert not (tmp_path / "r.svg").is_symlink()
+        assert (tmp_path / "r.svg").read_text().startswith("<?xml")
+        assert out.read_text().startswith("trial_id,seed,")
+        assert records_csv_text(parse_records_csv(out.read_text())) == out.read_text()
 
     def test_nan_radius_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
@@ -573,24 +589,6 @@ class TestSweepCommand:
         assert code == 2
         assert "finite radius_value" in err
         assert not out.exists()
-
-    def test_colliding_outputs_are_input_errors(self, tmp_path, capsys, monkeypatch):
-        # the SVG would overwrite the records, or the summary written next to
-        # them; both are refused before any trial runs
-        def no_sweep(*args):
-            raise AssertionError("a trial ran")
-        monkeypatch.setattr("sixlasso.cli.run_sweep", no_sweep)
-        config = tmp_path / "sweep.cfg"
-        config.write_text(SMOKE_CONFIG)
-        out = str(tmp_path / "r.csv")
-        for svg, victim in ((os.path.join(str(tmp_path), ".", "r.csv"), "records"),
-                            (str(tmp_path / "r_summary.csv"), "summary")):
-            code, _, err = run_cli(capsys, "sweep", "--config", str(config),
-                                   "--out", out, "--out-svg", svg)
-            assert code == 2
-            assert f"SVG output {svg} would overwrite the {victim} output" in err
-            assert (out if victim == "records" else summary_path_for(out)) in err
-        assert sorted(os.listdir(tmp_path)) == ["sweep.cfg"]
 
     def test_records_csv_round_trip(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
@@ -640,11 +638,9 @@ class TestSweepCommand:
         config.write_text(SMOKE_CONFIG)
         svgs = []
         for name in ("a", "b"):
-            out = tmp_path / f"{name}.csv"
-            svg = tmp_path / f"{name}.svg"
             run_cli(capsys, "sweep", "--config", str(config),
-                    "--out", str(out), "--out-svg", str(svg))
-            svgs.append(svg.read_text())
+                    "--out", str(tmp_path / f"{name}.csv"))
+            svgs.append((tmp_path / f"{name}.svg").read_text())
         assert svgs[0] == svgs[1]
 
 
