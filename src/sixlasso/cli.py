@@ -406,12 +406,10 @@ def fit_document_text(result, radius: float) -> str:
 def cmd_fit(args) -> int:
     X = read_numeric_csv(args.design, "design")
     y = read_numeric_csv(args.labels, "labels")
-    if y.shape[1] == 1:
-        y = y[:, 0]
-    elif y.shape[0] == 1:
-        y = y[0, :]
-    else:
-        raise InputError(f"labels file {args.labels} must be a single column or row")
+    if y.shape[1] != 1:
+        raise InputError(f"labels file {args.labels} must hold one value per line, "
+                         f"not {y.shape[1]}")
+    y = y[:, 0]
     if y.shape[0] != X.shape[0]:
         raise InputError(f"design has {X.shape[0]} rows but labels file has {y.shape[0]} values")
     if not 0 <= args.radius < np.inf:
@@ -502,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the l1-ball least-squares estimator to CSV data")
     p_fit.add_argument("design", help="CSV with n rows of p numeric features")
-    p_fit.add_argument("labels", help="CSV with n response values")
+    p_fit.add_argument("labels", help="CSV with n response values, one value per line")
     p_fit.add_argument("--radius", type=float, required=True)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)

@@ -10,18 +10,18 @@ near where the lasso ends.  Its steps use an adaptive backtracked step 1/L
 Candes 2015).  Once the sign pattern of the iterate has held for 2
 iterations it tries an exact finish: the closed-form minimizer on that
 support and those signs (the active-set step of Osborne, Presnell &
-Turlach 2000), from one Gram matrix X_S'X_S, tested positive definite by a
-LAPACK Cholesky factorization and solved once.  A finish that fails the
+Turlach 2000), from one LU solve with the Gram matrix X_S'X_S; there is no
+finish when LAPACK reports that Gram singular.  A finish that fails the
 certificate but lowers the objective becomes the iterate, and the momentum
 restarts from it.  It has one stop rule: the gradient-mapping certificate
 ||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks whenever a
 step moves the iterate by at most 1e-6 and which the exact finish must
 pass.  Every product with the support columns X_S, X_S'X_S among them,
-runs over blocks of 256 rows (X_S'X_S through one reused |S| x |S|
-buffer), so a fit holds O(n + p + 256|S| + |S|^2) floats beside X and
-never gathers X_S whole.  pv_linear_fit maximizes <X'y, beta>
-over the intersection of an l1 ball and the unit l2 ball, the classical
-one-bit recovery baseline; its rule also gives fit_lasso's start direction.
+runs over blocks of 256 rows, so a fit holds O(n + p + 256|S| + |S|^2)
+floats beside X and never gathers X_S whole.  pv_linear_fit maximizes
+<X'y, beta> over the intersection of an l1 ball and the unit l2 ball, the
+classical one-bit recovery baseline; its rule also gives fit_lasso's start
+direction.
 """
 
 from __future__ import annotations
@@ -171,22 +171,6 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, mom: float) -> np.ndarray:
     return out
 
 
-def _normal_solve(G: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    """Solve G Z = B for a Gram matrix G, or None when G is not numerically
-    positive definite.
-
-    A LAPACK Cholesky factorization is the positive-definiteness test; one
-    LU solve then gives Z.  BLAS runs on one thread in every sixlasso
-    process (see the package docstring), so these calls give the same bits
-    in a serial and a pooled sweep.
-    """
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(G, B)
-
-
 def fit_lasso(data: Dataset, radius: float) -> FitResult:
     """Solve min (1/n)||y - X beta||_2^2 s.t. ||beta||_1 <= radius.
 
@@ -235,13 +219,12 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     None of this changes a floating-point operation or its order.
 
     The exact finish: with S = supp(beta), sigma = sign(beta_S) and
-    |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows, each
-    block's X_S'X_S written into one preallocated |S| x |S| buffer and
-    added from there; one Cholesky factorization tests that X_S'X_S is
-    numerically positive definite (no finish otherwise), and one solve
-    against X_S'y and sigma gives u and w.  If sigma'u <= radius, b = u,
-    the least-squares point on S; otherwise b = u - nu w with
-    sigma'b = radius, the solution of the KKT system
+    |S| <= n, X_S'X_S and X_S'y are summed over blocks of 256 rows, and
+    one LU solve against X_S'y and sigma gives u and w; there is no finish
+    when LAPACK reports X_S'X_S singular.  A nearly singular X_S'X_S still
+    gives a point, which the tests below accept or drop like any other.
+    If sigma'u <= radius, b = u, the least-squares point on S; otherwise
+    b = u - nu w with sigma'b = radius, the solution of the KKT system
     [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
     (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
@@ -275,11 +258,11 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
 
     Memory: beyond X (and its copy, if X is row-major) a fit holds
     O(n + p + 256|S| + |S|^2) floats: n- and p-vectors, one 256-row block
-    of X_S, and two |S| x |S| arrays in the finish: X_S'X_S with the
-    buffer its blocks are written to, and then X_S'X_S with the copy the
-    solve factors (the buffer is freed before the solve).  It makes no
-    n x p temporary: the finiteness check of X rides on
-    lipschitz_estimate's column sums of squares.
+    of X_S, and two |S| x |S| arrays in the finish: X_S'X_S and one
+    block's product while summing (the product is freed as it is added),
+    then X_S'X_S and the copy the LU solve factors.  It makes no n x p
+    temporary: the finiteness check of X rides on lipschitz_estimate's
+    column sums of squares.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
@@ -351,19 +334,19 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
         if not 0 < S.size <= n:
             return None
         gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
-        tmp = np.empty_like(gram)  # each block's X_S'X_S, added to gram
         with np.errstate(all="ignore"):
             for i in range(0, n, _ROW_BLOCK):
                 block = X[i:i + _ROW_BLOCK, S]
-                np.matmul(block.T, block, out=tmp)
-                gram += tmp
+                gram += block.T @ block
                 xty += block.T @ y[i:i + _ROW_BLOCK]
                 del block  # the next gather then does not overlap it
-            del tmp  # the solve's LU copy takes its place
-            solved = _normal_solve(gram, np.column_stack((xty, sigma)))
-            if solved is None:
+            # one LU solve; BLAS runs on one thread in every sixlasso process
+            # (see the package docstring), so a serial and a pooled sweep get
+            # the same bits
+            try:
+                u, w = np.linalg.solve(gram, np.column_stack((xty, sigma))).T
+            except np.linalg.LinAlgError:  # LAPACK found the Gram singular
                 return None
-            u, w = solved.T
             # the multiplier of sigma'b <= radius is positive only where the
             # least-squares point lies beyond the face
             u = u - (max(sigma @ u - radius, 0.0) / (sigma @ w)) * w

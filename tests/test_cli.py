@@ -16,6 +16,7 @@ from sixlasso import compute_lambda, make_signal
 from sixlasso.cli import (
     RECORD_COLUMNS,
     InputError,
+    OutputError,
     fmt_real,
     main,
     parse_records_csv,
@@ -197,6 +198,44 @@ class TestFitCommand:
         assert (code, err) == (0, "")
         coeffs = [float(v) for v in out.split("coefficients:\n")[1].split()]
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
+
+    def test_labels_on_one_line_are_input_error(self, tmp_path, capsys):
+        # labels are one value per line, as simulate writes them
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1,0\n0,1\n1,1\n")
+        labels.write_text("1,-1,1\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+        assert (code, out) == (2, "")
+        assert f"labels file {labels} must hold one value per line, not 3" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ("1,0\n0,1,2\n", "line 2 has 3 fields, expected 2"),
+    ], ids=["empty", "blank-lines", "ragged"])
+    def test_empty_or_ragged_design_is_input_error(self, tmp_path, capsys, text, message):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text(text)
+        labels.write_text("1\n0\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+        assert (code, out) == (2, "")
+        assert f"design file {design}" in err and message in err
+
+    def test_output_onto_a_directory_is_exit_3(self, tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1,0\n0,1\n")
+        labels.write_text("1\n0\n")
+        out = tmp_path / "fitdir"
+        out.mkdir()
+        code, stdout, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1",
+                                    "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert f"cannot write {out}" in err
+        assert os.listdir(out) == []
+        assert sorted(os.listdir(tmp_path)) == ["X.csv", "fitdir", "y.csv"]
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "no.csv"),
@@ -549,8 +588,10 @@ class TestSweepCommand:
                                    "--out", str(out))
             assert code == 3
             assert str(out) in err
-        # the failed rename into the directory left no temp file behind
-        assert not list(tmp_path.glob(".tmp_*"))
+        # both are refused before any trial, so nothing was written
+        # (TestWriteTextAtomic covers a rename that fails)
+        assert sorted(os.listdir(tmp_path)) == ["existing_dir", "sweep.cfg"]
+        assert os.listdir(existing_dir) == []
 
     def test_unwritable_svg_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_sweep(*args):
@@ -666,3 +707,15 @@ class TestWriteTextAtomic:
             assert stat.S_IMODE(path.stat().st_mode) == mode
             assert path.read_text() == text
         assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "old.csv", "plain.csv"]
+
+    def test_writing_onto_a_directory_leaves_no_temp_file(self, tmp_path):
+        # the rename fails after the temp file is written: the temp file is
+        # removed and the directory is left as it was
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n")
+        with pytest.raises(OutputError, match=f"cannot write {re.escape(str(target))}"):
+            write_text_atomic(str(target), "a\n")
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+        assert os.listdir(target) == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept\n"

@@ -117,6 +117,16 @@ class TestSweepSpecValidation:
             smoke_spec(base_seed=seed)
         assert smoke_spec(base_seed=2**64 - 1).base_seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("reps", 0, "reps must be >= 1"),
+        ("test_n", 0, "test_n must be >= 1"),
+        ("n_grid", (0, 5), "sample sizes must be >= 1"),
+        ("estimators", (), "estimators must be a nonempty subset"),
+    ])
+    def test_values_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            smoke_spec(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("n_grid", (50.7, 100)), ("n_grid", (50, 100.0)), ("reps", 2.5),
         ("test_n", 10.5), ("p", 10.5), ("s", 2.0), ("reps", "2"), ("base_seed", 1.5),
@@ -171,6 +181,15 @@ class TestTrialIdentity:
     def test_out_of_grid_cell_rejected(self):
         with pytest.raises(ValueError):
             run_trial(smoke_spec(), (75, 0), "lasso")
+
+    @pytest.mark.parametrize("rep, estimator, message", [
+        (-1, "lasso", r"rep=-1 outside \[0, 2\)"),
+        (2, "lasso", r"rep=2 outside \[0, 2\)"),
+        (0, "pv", r"estimator 'pv' not in \('lasso',\)"),
+    ])
+    def test_cell_outside_the_spec_rejected(self, rep, estimator, message):
+        with pytest.raises(ValueError, match=message):
+            trial_id_for(smoke_spec(), 50, rep, estimator)
 
 
 class TestRunTrial:

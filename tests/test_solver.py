@@ -189,6 +189,12 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError, match="overflow"):
             lipschitz_estimate(np.diag([1e200, 1e200]))
 
+    @pytest.mark.parametrize("X", [np.ones(3), np.empty((0, 3)), np.empty((3, 0))],
+                             ids=["1-d", "no-rows", "no-columns"])
+    def test_not_a_nonempty_matrix_rejected(self, X):
+        with pytest.raises(ValueError, match="nonempty 2-d array"):
+            lipschitz_estimate(X)
+
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_are_named(self, bad, scale):
@@ -402,6 +408,24 @@ class TestFitLasso:
                                    merged.beta_hat, rtol=0, atol=1e-6)
         assert fit.objective == pytest.approx(merged.objective, rel=1e-9)
 
+    def test_near_singular_support(self):
+        # the second copy of the column is perturbed at 1e-14: X_S'X_S is
+        # not numerically positive definite, but LAPACK does not report it
+        # singular, so the finish's solve gives a point, and the certificate
+        # accepts it within 3 iterations (the loop alone stops after 10)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((30, 2))
+        X = np.column_stack([a[:, 0], a[:, 0], a[:, 1]])
+        y = X @ np.array([0.5, 0.5, -0.3]) + 0.1 * rng.standard_normal(30)
+        X[:, 1] += 1e-14 * rng.standard_normal(30)
+        fit = fit_lasso(_dataset(X, y), radius=3.0)
+        merged = fit_lasso(_dataset(a, y), radius=3.0)
+        assert fit.converged and fit.fp_residual <= 1e-6
+        assert fit.iterations <= 3
+        assert np.all(np.diff(fit.objective_path) <= 0.0)
+        np.testing.assert_allclose([fit.beta_hat[0] + fit.beta_hat[1], fit.beta_hat[2]],
+                                   merged.beta_hat, rtol=0, atol=1e-6)
+
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):
             fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), radius=-1.0)
@@ -414,12 +438,15 @@ class TestFitLasso:
                 fit_lasso(_dataset(X, [1.0, 0.0, 0.0]), radius=1.0)
             with pytest.raises(ValueError, match="finite"):
                 fit_lasso(_dataset(np.eye(3), [1.0, bad, 0.0]), radius=1.0)
+            with pytest.raises(ValueError, match="radius must be finite"):
+                fit_lasso(_dataset(np.eye(3), [1.0, 0.0, 0.0]), radius=bad)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), p=st.integers(1, 12),
            radius=st.floats(0, 5), c=st.sampled_from([1e-3, 0.37, 4.0, 1e3]))
-    # (cX, cy) stops on a rounding rise one iteration before (X, y) stops on
-    # the exact finish; the finish after that stop brings both to one point
-    @example(seed=33692, n=30, p=3, radius=0.375, c=1e-3)
+    # (cX, cy) stops on a rounding rise of its step from beta at iteration 1,
+    # where (X, y) stops on its certificate; about 5 in 750 random draws
+    # from these ranges reach that stop, so one is pinned
+    @example(seed=3322160024, n=1, p=3, radius=1.8975575875930872, c=1e3)
     @settings(max_examples=100, deadline=None)
     def test_feasible_certified_and_scale_invariant(self, seed, n, p, radius, c):
         rng = np.random.default_rng(seed)
