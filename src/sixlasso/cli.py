@@ -427,9 +427,11 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     if not 1 <= args.s <= args.p:
         raise InputError(f"need 1 <= s <= p, got s={args.s}, p={args.p}")
-    # the data seed goes to numpy as it is (a sweep's seeds are mixed first)
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    # the data seed goes to numpy as it is (a sweep's seeds are mixed first),
+    # and signal_seed masks it to 64 bits: a wider seed would reuse the
+    # signal of another
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
     # the signal has its own stream, as in a sweep: seeding it with the data

@@ -154,7 +154,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's identity, socket of metrics, and solver diagnostics."""
+    """One trial's identity, its metrics, and solver diagnostics."""
 
     trial_id: int
     seed: int

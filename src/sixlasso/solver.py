@@ -11,17 +11,18 @@ Candes 2015).  Once the sign pattern of the iterate has held for 2
 iterations it tries an exact finish: the closed-form minimizer on that
 support and those signs (the active-set step of Osborne, Presnell &
 Turlach 2000), from one LU solve with the Gram matrix X_S'X_S; there is no
-finish when LAPACK reports that Gram singular.  A finish that fails the
-certificate but lowers the objective becomes the iterate, and the momentum
-restarts from it.  It has one stop rule: the gradient-mapping certificate
-||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks whenever a
-step moves the iterate by at most 1e-6 and which the exact finish must
-pass.  Every product with the support columns X_S, X_S'X_S among them,
-runs over blocks of 256 rows, so a fit holds O(n + p + 256|S| + |S|^2)
-floats beside X and never gathers X_S whole.  pv_linear_fit maximizes
-<X'y, beta> over the intersection of an l1 ball and the unit l2 ball, the
-classical one-bit recovery baseline; its rule also gives fit_lasso's start
-direction.
+finish when LAPACK reports that Gram singular.  The loop also tries it
+when it stops.  A finish that fails the certificate but lowers the
+objective becomes the iterate unless the loop has stopped, and the
+momentum restarts from it.  It has one stop rule: the gradient-mapping
+certificate ||beta - P(beta - grad/L)||_2 <= 1e-6, which the loop checks
+whenever a step moves the iterate by at most 1e-6 and which the exact
+finish must pass.  Every product with the support columns X_S, X_S'X_S
+among them, runs over blocks of 256 rows, so a fit holds
+O(n + p + 256|S| + |S|^2) floats beside X and never gathers X_S whole.
+pv_linear_fit maximizes <X'y, beta> over the intersection of an l1 ball
+and the unit l2 ball, the classical one-bit recovery baseline; its rule
+also gives fit_lasso's start direction.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ class FitResult:
     MAX_ITER iterations, and fp_residual <= 1e-6, the fit's only stop test;
     objective_path starts with the objective at the fit's start (the pv
     point, or 0; see fit_lasso), then records the accepted objective value
-    at every iteration, plus one entry for every rejected exact finish the
-    fit adopted and one last entry when an accepted exact finish ends the
-    fit (non-increasing: the restart rejects any extrapolated step that
-    would raise it, a rejected finish is adopted only if it lowers it, and
-    an accepted one may not raise it beyond rounding).
+    at every iteration (an iteration that stops on a rounding rise of its
+    step repeats the last value), plus one entry for every rejected exact
+    finish the fit adopted and one last entry when an accepted exact finish
+    ends the fit, so objective is its last entry (non-increasing: the
+    restart rejects any extrapolated step that would raise it, a rejected
+    finish is adopted only if it lowers it, and an accepted one may not
+    raise it beyond rounding).
     """
 
     beta_hat: np.ndarray
@@ -228,8 +231,9 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     [X_S'X_S sigma; sigma' 0][b; nu] = [X_S'y; radius].
     (Choosing by the sign of nu, not by whether ||beta||_1 < radius, keeps
     (X, y) and (cX, cy) on the same branch when beta sits on the sphere to
-    rounding.)  The finish is tried once whenever a sign pattern has held
-    for 2 iterations, and once more whenever the loop stops on its own.
+    rounding.)  The finish has one call site, at the end of an iteration:
+    it is tried whenever a sign pattern has held for 2 iterations and
+    whenever the loop stops on its own.
     b is accepted only if it and its l1 norm are finite, lies in the ball
     once projected onto it (rounding), passes the certificate, and changes
     the objective by
@@ -239,20 +243,23 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     before its gradient and certificate are computed: its Delta is above
     0, so it could not be adopted either.  An accepted finish ends the
     fit, converged, and appends its objective to objective_path.  A
-    finish the certificate rejects inside the loop is still adopted when
-    Delta < 0 and its objective is at most f: b becomes the iterate, with
-    the residual and gradient the certificate computed, its objective is
-    appended to objective_path, the momentum restarts (t = 1, z = b) and
-    the sign pattern's age starts again from 0.  The finish tried at a
-    stop of the loop's own either ends the fit or is dropped.
+    finish the certificate rejects is still adopted when the loop has not
+    stopped, Delta < 0 and its objective is at most f: b becomes the
+    iterate, with the residual and gradient the certificate computed, its
+    objective is appended to objective_path, the momentum restarts
+    (t = 1, z = b) and the sign pattern's age starts again from 0.  At a
+    stop a rejected finish is dropped, so a stop whose certificate passed
+    ends converged at its own iterate.
 
-    The one stop test of the loop is the certificate fp_residual <= 1e-6
-    at the new iterate, with the current L.  ||b - P(b - grad/L)|| does not
-    fall as L falls, so a shrunk L only makes the test stricter.  It costs
-    a projection, so it is checked only when the new iterate lies within
-    1e-6 of the point its step started from.  The loop also stops, and
+    Each iteration makes one stop decision.  The one stop test of the
+    loop is the certificate fp_residual <= 1e-6 at the new iterate, with
+    the current L.  ||b - P(b - grad/L)|| does not fall as L falls, so a
+    shrunk L only makes the test stricter.  It costs a projection, so it
+    is checked only when the new iterate lies within 1e-6 of the point its
+    step started from.  The loop also stops, and
     gives up honestly, when that distance is exactly 0 or when the step
-    from beta rises by rounding; converged is true only when the
+    from beta rises by rounding (that iteration keeps beta and repeats its
+    objective in objective_path); converged is true only when the
     certificate passes.  A fit that runs out of its MAX_ITER = 5000
     iterations is never converged.
 
@@ -391,10 +398,9 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
         beta[S] = t_start * w[S]
         xw *= t_start
         resid = np.subtract(xw, y, out=xw)
-        grad = gradient(resid)
     else:
         resid = -y  # X @ 0 - y
-        grad = np.multiply(xty, -2.0 / n, out=xty)  # the gradient at 0, (2/n) X'(0 - y)
+    grad = gradient(resid)
     f = float(resid @ resid) / n
     path = [f]
 
@@ -405,7 +411,6 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     supp = np.flatnonzero(beta)
     signs, stable = np.sign(beta[supp]), 0
     fp_residual = None  # certificate at beta, once computed
-    stopped = finished = False
     for iterations in range(1, MAX_ITER + 1):
         L *= _STEP_SHRINK
         candidate, S, cand_resid, f_new, step_len = step_from(z, z_resid, z_grad)
@@ -413,42 +418,42 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
             # function-value restart: drop the momentum and step from beta
             t = 1.0
             candidate, S, cand_resid, f_new, step_len = step_from(beta, resid, grad)
-        if f_new > f:
-            # a sufficient-decrease step from beta rose by rounding: stationary
-            path.append(f)
-            stopped = True
-            break
-        beta_prev, resid_prev, grad_prev = beta, resid, grad
-        beta, resid, f = candidate, cand_resid, f_new
-        grad = gradient(resid)
+        # stationary if even a sufficient-decrease step from beta rose (rounding)
+        stopped = f_new > f
+        if not stopped:
+            beta_prev, resid_prev, grad_prev = beta, resid, grad
+            beta, resid, f = candidate, cand_resid, f_new
+            grad = gradient(resid)
+            new_signs = np.sign(beta[S])
+            # compared as bytes: cheaper than np.array_equal here, and numpy's
+            # integer comparison loops stay out of the process's resident code
+            same = S.tobytes() == supp.tobytes() and new_signs.tobytes() == signs.tobytes()
+            stable = stable + 1 if same else 0
+            supp, signs = S, new_signs
+            fp_residual = None
+            if step_len <= _CERT_TOL:
+                fp_residual = cert_residual(beta, grad)
+                # a fixed point whose certificate fails gives up honestly
+                stopped = fp_residual <= _CERT_TOL or step_len == 0.0
         path.append(f)
-        new_signs = np.sign(beta[S])
-        # compared as bytes: cheaper than np.array_equal here, and numpy's
-        # integer comparison loops stay out of the process's resident code
-        same = S.tobytes() == supp.tobytes() and new_signs.tobytes() == signs.tobytes()
-        stable = stable + 1 if same else 0
-        supp, signs = S, new_signs
-        fp_residual = None
-        if step_len <= _CERT_TOL:
-            fp_residual = cert_residual(beta, grad)
-            # a fixed point whose certificate fails gives up honestly
-            if fp_residual <= _CERT_TOL or step_len == 0.0:
-                stopped = True
-                break
-        if stable == _STABLE_ITERS:
+        if stopped or stable == _STABLE_ITERS:
+            # every stop tries the finish too: a stop on a rounding rise can
+            # come one iteration earlier on (cX, cy) than on (X, y)
             finish = exact_finish(beta, supp, signs, resid, grad, f)
-            if finish is not None:
+            # an accepted finish ends the fit; a rejected one, which lowers
+            # the objective, is adopted only if the loop goes on: at a stop
+            # it is dropped, so a stop whose certificate passed stays converged
+            if finish is not None and (finish[-1] <= _CERT_TOL or not stopped):
                 beta, resid, grad, f, fp_residual = finish
                 path.append(f)
-                if fp_residual <= _CERT_TOL:
-                    stopped = finished = True
-                    break
-                # adopt the rejected finish, which lowers the objective, and
-                # restart the momentum from it
-                supp = np.flatnonzero(beta)
-                signs, stable = np.sign(beta[supp]), 0
-                t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
-                continue
+                stopped = fp_residual <= _CERT_TOL
+                if not stopped:  # adopted: restart the momentum from it
+                    supp = np.flatnonzero(beta)
+                    signs, stable = np.sign(beta[supp]), 0
+                    t, mom, z, z_resid, z_grad = 1.0, 0.0, beta, resid, grad
+                    continue
+        if stopped:
+            break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_next
         t = t_next
@@ -457,13 +462,6 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
         z = _extrapolate(beta, beta_prev, mom)
         z_resid = _extrapolate(resid, resid_prev, mom)
         z_grad = _extrapolate(grad, grad_prev, mom)
-    if stopped and not finished:
-        # every stop of the loop's own tries the finish: a stop on a rounding
-        # rise can come one iteration earlier on (cX, cy) than on (X, y)
-        finish = exact_finish(beta, supp, signs, resid, grad, f)
-        if finish is not None and finish[-1] <= _CERT_TOL:
-            beta, resid, grad, f, fp_residual = finish
-            path.append(f)
     if fp_residual is None:
         fp_residual = cert_residual(beta, grad)
 

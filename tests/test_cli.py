@@ -350,14 +350,23 @@ class TestSimulateCommand:
         assert f"need 1 <= s <= p, got s={s}, p=5" in err
         assert not os.listdir(tmp_path)
 
-    def test_negative_seed_is_input_error(self, tmp_path, capsys):
-        # the data seed reaches numpy unmixed, so the flag is checked first
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_input_error(self, tmp_path, capsys, seed):
+        # the data seed reaches numpy unmixed and the signal's seed is masked
+        # to 64 bits, so the flag is checked first
         code, out, err = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "10",
-                                 "--link", "sign", "--seed", "-1",
+                                 "--link", "sign", "--seed", seed,
                                  "--out", str(tmp_path / "sim"))
         assert (code, out) == (2, "")
-        assert "--seed must be >= 0, got -1" in err
+        assert f"--seed must lie in [0, 2**64), got {seed}" in err
         assert not os.listdir(tmp_path)
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "10",
+                             "--link", "sign", "--seed", str(2**64 - 1),
+                             "--out", str(tmp_path / "sim"))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["sim_X.csv", "sim_beta.csv", "sim_y.csv"]
 
     def test_empty_sample_is_input_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "0",

@@ -348,6 +348,22 @@ class TestFitLasso:
             assert fit.fp_residual <= 1e-6
         assert adopted >= 1
 
+    @pytest.mark.parametrize("seed", [8, 15, 43])
+    def test_rejected_finish_at_a_stop_is_dropped(self, seed):
+        # two columns 1e-9 apart: the loop's first step passes its
+        # certificate and stops, and the finish tried there lowers the
+        # objective but fails the certificate; adopting it would end the fit
+        # unconverged (fp_residual 2.9e-5 at seed 8), dropping it keeps the
+        # certified iterate
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(30)
+        X = np.column_stack((x, x + 1e-9 * rng.standard_normal(30)))
+        y = rng.standard_normal(30)
+        fit = fit_lasso(_dataset(X, y), radius=5.0)
+        assert fit.converged
+        assert fit.iterations == 1
+        assert fit.fp_residual <= 1e-6
+
     def test_step_constant_ends_below_half_the_top_eigenvalue_when_n_much_less_than_p(self):
         # the curvature on the final support is a fraction of the top
         # eigenvalue of (2/n) X'X, and the adaptive L follows it, not the top
@@ -462,6 +478,10 @@ class TestFitLasso:
         scaled = fit_lasso(_dataset(c * X, c * y), radius)
         np.testing.assert_allclose(scaled.beta_hat, fit.beta_hat, rtol=0, atol=1e-9)
         assert scaled.converged == fit.converged
+        # the start, one entry per iteration and one per finish taken
+        for f in (fit, scaled):
+            assert f.objective == f.objective_path[-1]
+            assert len(f.objective_path) >= f.iterations + 1
 
 
 def _pv_start(data, radius):
