@@ -19,15 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del os, _var  # keeps both out of __all__
 
-from .errors import (
-    EmptyRecords,
-    InvalidSparsity,
-    NegativeRadius,
-    SixLassoError,
-    ZeroGradient,
-    ZeroMatrix,
-    ZeroVector,
-)
+from .errors import SixLassoError
 from .experiments import (
     SummaryRow,
     SweepSpec,

@@ -38,7 +38,9 @@ a value that is not an integer is an input error.  Importing sixlasso sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they
 are unset.
 
-Exit codes: 0 success, 1 domain error, 2 input error, 3 output error.
+Exit codes: 0 success, 1 degenerate data (SixLassoError: an all-zero or
+underflowing design, X'y = 0, a zero fitted vector), 2 input error (a bad
+argument, file or flag, ValueError among them), 3 output error.
 """
 
 from __future__ import annotations
@@ -248,13 +250,13 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
                  f'{(top + height - bottom) / 2:.2f})">direction error</text>')
 
     for est in sorted(series):
-        color = _COLORS.get(est, "#2ca02c")
+        color = _COLORS[est]
         pts = " ".join(f"{px(n):.2f},{py(v):.2f}" for n, v in series[est])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
 
     ly = top + 10
     for est in sorted(series):
-        color = _COLORS.get(est, "#2ca02c")
+        color = _COLORS[est]
         lx = width - right - 130
         parts.append(f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 25:.2f}" y2="{ly:.2f}" '
                      f'stroke="{color}" stroke-width="2"/>')
@@ -425,8 +427,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not 1 <= args.s <= args.p:
-        raise InputError(f"need 1 <= s <= p, got s={args.s}, p={args.p}")
     # the data seed goes to numpy as it is (a sweep's seeds are mixed first),
     # and signal_seed masks it to 64 bits: a wider seed would reuse the
     # signal of another
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SixLassoError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

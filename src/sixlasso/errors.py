@@ -1,35 +1,13 @@
-"""Exception types shared across the library.
+"""The library's one exception type.
 
-Each class corresponds to one contract violation; callers that want to
-distinguish domain failures from input failures can catch these instead of
-bare ValueError.
+SixLassoError means degenerate data: inputs that are well formed but carry
+nothing to fit or measure, such as an all-zero design, X'y = 0 or a zero
+coefficient vector.  run_trial records such a trial as failed, and
+`sixlasso fit` exits 1 on it.  A bad argument (a negative radius, s outside
+[1, p], an empty record list, a NaN or infinite entry) raises ValueError
+instead, with a message that names the argument.
 """
 
 
 class SixLassoError(Exception):
-    """Base class for all library-specific errors."""
-
-
-class InvalidSparsity(SixLassoError):
-    """Requested support size s is outside 1 <= s <= p."""
-
-
-class NegativeRadius(SixLassoError):
-    """An l1-ball radius was negative."""
-
-
-class ZeroMatrix(SixLassoError):
-    """A design matrix was identically zero, or so small that its squares
-    underflow to zero, where a nonzero one is required."""
-
-
-class ZeroGradient(SixLassoError):
-    """X'y vanished: the data carry no directional information."""
-
-
-class ZeroVector(SixLassoError):
-    """A metric received a (numerically) zero vector where a direction is needed."""
-
-
-class EmptyRecords(SixLassoError):
-    """Aggregation was asked to summarize an empty record list."""
+    """Degenerate data: nothing to fit or measure."""

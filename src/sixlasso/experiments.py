@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptyRecords, SixLassoError
+from .errors import SixLassoError
 from .metrics import (
     TrialMetrics,
     classify_accuracy,
@@ -258,8 +258,11 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     The trial fits the first n rows of its rep's draw, seeded by
     rep_seed(spec, rep), and is scored on the rep's held-out set (see the
     module docstring); the draws are read-only.
-    Domain failures (degenerate fits) become a failed-trial record with
-    direction_error pinned at 2; they never abort a sweep.
+    Degenerate data (a SixLassoError from the fit or the metrics: an
+    all-zero or underflowing design, X'y = 0, a zero fitted vector) gives a
+    failed-trial record with direction_error pinned at 2; it never aborts a
+    sweep.  A bad argument (ValueError, a negative radius among them) is
+    not degenerate data: it propagates.
 
     test_accuracy scores beta_hat on spec.test_n held-out rows drawn in the
     plane of beta* and beta_hat rather than in R^p.  For x ~ N(0, I_p) and
@@ -372,10 +375,10 @@ def summarize(records: list[TrialRecord]) -> list[SummaryRow]:
     group's finite values are sorted once, and its q-quantile is the order
     statistic at index floor(q (m - 1)) of its m values, which is what
     np.quantile(..., method="lower") returns.  Rows come out sorted by
-    (estimator, n, metric order).
+    (estimator, n, metric order).  An empty list raises ValueError.
     """
     if not records:
-        raise EmptyRecords("no records to summarize")
+        raise ValueError("records must not be empty: no records to summarize")
     cells: dict[tuple[str, int], list[TrialRecord]] = {}
     for rec in records:
         cells.setdefault((rec.estimator, rec.n), []).append(rec)

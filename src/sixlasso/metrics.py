@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import SixLassoError
 from .model import Dataset
 
 _ZERO_NORM = 1e-300
@@ -33,14 +33,15 @@ def direction_error(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:
     """l2 distance between the unit-normalized estimate and truth.
 
     Scale-invariant in both arguments; 0 for aligned vectors, 2 for
-    antipodal ones.  Raises ZeroVector on a numerically zero argument
-    (harness callers record the degenerate value 2 instead).
+    antipodal ones.  A numerically zero argument is degenerate data and
+    raises SixLassoError (run_trial records the degenerate value 2
+    instead).
     """
     bh = np.asarray(beta_hat, dtype=float)
     bs = np.asarray(beta_star, dtype=float)
     nh, ns = np.linalg.norm(bh), np.linalg.norm(bs)
     if nh <= _ZERO_NORM or ns <= _ZERO_NORM:
-        raise ZeroVector("direction undefined for a zero vector")
+        raise SixLassoError("direction undefined for a zero vector")
     return float(np.linalg.norm(bh / nh - bs / ns))
 
 
@@ -89,10 +90,12 @@ def classify_accuracy(beta_hat: np.ndarray, test: Dataset) -> float:
     """Fraction of test rows with sign(x'beta_hat) equal to the label.
 
     sign(0) counts as +1.  Scale-invariant in beta_hat by construction.
+    A numerically zero beta_hat is degenerate data and raises
+    SixLassoError; labels other than +-1 raise ValueError.
     """
     bh = np.asarray(beta_hat, dtype=float)
     if np.linalg.norm(bh) <= _ZERO_NORM:
-        raise ZeroVector("cannot classify with a zero coefficient vector")
+        raise SixLassoError("cannot classify with a zero coefficient vector")
     y = np.asarray(test.y, dtype=float)
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("test labels must be +-1")

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSparsity
-
 LINK_KINDS = ("linear", "logistic", "probit", "sign")
 
 # Trapezoid nodes of the logistic link constant: z = k/4 for |k| <= 48
@@ -109,10 +107,10 @@ def make_signal(p: int, s: int, seed: int = 0) -> np.ndarray:
     magnitudes are random.  Unit l2 norm plus s-sparsity give
     ||beta*||_1 <= sqrt(s) (Cauchy-Schwarz), the effective-sparsity budget
     the l1 radius rules are calibrated against.  The support is
-    np.flatnonzero(beta*).
+    np.flatnonzero(beta*).  s outside [1, p] raises ValueError.
     """
     if s < 1 or s > p:
-        raise InvalidSparsity(f"need 1 <= s <= p, got s={s}, p={p}")
+        raise ValueError(f"need 1 <= s <= p, got s={s}, p={p}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(p, size=s, replace=False))
     beta = np.zeros(p)

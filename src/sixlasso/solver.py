@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeRadius, ZeroGradient, ZeroMatrix
+from .errors import SixLassoError
 from .model import Dataset
 
 MAX_ITER = 5000  # fit_lasso's iteration cap
@@ -90,18 +90,16 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     unchanged, as a copy.  The thresholds and the result are built in place
     in two arrays beside the sorted |v|.
 
-    A negative radius raises NegativeRadius.  A NaN radius, a NaN or
-    infinite entry of v, and an l1 norm of v that overflows raise
-    ValueError: each would otherwise give a silent NaN or a wrong point.
+    A negative or NaN radius, a NaN or infinite entry of v, and an l1
+    norm of v that overflows raise ValueError: each would otherwise give
+    a silent NaN or a wrong point.
     The test reads the l1 norm the inside-the-ball check computes anyway,
     so a finite v pays nothing for it; an overflowing sum still raises
     numpy's overflow RuntimeWarning first, as the caller's np.errstate
     directs.
     """
-    if radius < 0:
-        raise NegativeRadius(f"radius must be >= 0, got {radius}")
-    if math.isnan(radius):
-        raise ValueError("radius must not be NaN")
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0 and not NaN, got {radius}")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     total = a.sum()
@@ -131,12 +129,13 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     on the top eigenvalue of (2/n) X'X that scales by c^2 under X -> cX.  It
     is only fit_lasso's first step constant, which the fit then shrinks or
     raises as its steps allow.  An all-zero X, or one whose squares underflow
-    to a start of 0, raises ZeroMatrix: doubling could never lift L off 0,
-    and the fit would backtrack forever.  A start that is not finite raises
-    ValueError, since a certificate at L = inf would be vacuous: its message
-    names the NaN or infinite entries of X when there are any, and says the
-    squared column norms overflow otherwise.  This pass over X is the one
-    finiteness check fit_lasso makes of it.
+    to a start of 0, is degenerate data and raises SixLassoError: doubling
+    could never lift L off 0, and the fit would backtrack forever.  A start
+    that is not finite raises ValueError, since a certificate at L = inf
+    would be vacuous: its message names the NaN or infinite entries of X
+    when there are any, and says the squared column norms overflow
+    otherwise.  This pass over X is the one finiteness check fit_lasso
+    makes of it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -144,7 +143,7 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
     if L == 0.0:
-        raise ZeroMatrix("X is identically zero, or its squares underflow to 0")
+        raise SixLassoError("X is identically zero, or its squares underflow to 0")
     if not np.isfinite(L):
         # a NaN or inf entry makes its column's sum of squares non-finite too
         if not np.isfinite(X).all():
@@ -272,15 +271,15 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     column sums of squares.
 
     The (1/n) normalization does not move the argmin of the unnormalized
-    residual sum; it keeps step sizes O(1) across sample sizes.  A NaN or
-    infinite entry in X or y, or a non-finite radius, raises ValueError,
-    and so does an X whose squared column norms overflow; an X
-    whose squares all underflow to 0 raises ZeroMatrix (lipschitz_estimate).
+    residual sum; it keeps step sizes O(1) across sample sizes.  A radius
+    that is negative or not finite raises ValueError, and so does a NaN or
+    infinite entry in X or y, an X whose squared column norms overflow or
+    a y whose squared norm overflows: each message names X, y or the
+    radius.  An X that is identically zero, or whose squares all underflow
+    to 0, is degenerate data and raises SixLassoError (lipschitz_estimate).
     """
-    if not np.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
-    if radius < 0:
-        raise NegativeRadius(f"radius must be >= 0, got {radius}")
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     # contiguous columns, so that a row block of X_S reads runs of whole
     # columns: a no-op for generate_dataset's column-major X and for a row
     # prefix of it (a sweep fits the first n rows of its rep's draw; the
@@ -290,8 +289,14 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     if X.strides[0] != X.itemsize:
         X = np.asfortranarray(X)
     y = np.asarray(data.y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite: it has NaN or infinite entries")
+    # one pass over y, as lipschitz_estimate makes over X: a NaN or infinite
+    # entry makes y'y non-finite too
+    with np.errstate(over="ignore"):
+        yy = float(y @ y)
+    if not math.isfinite(yy):
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite: it has NaN or infinite entries")
+        raise ValueError("the squared norm of y overflows")
     n, p = X.shape
 
     L = lipschitz_estimate(X)  # raises on a NaN or infinite entry of X
@@ -496,7 +501,7 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     A NaN l1_radius, or one below 1, raises ValueError, and so does an X'y
     that is not finite or whose l2 norm overflows: the message says whether
     X or y has NaN or infinite entries or the product overflows.  X'y = 0
-    raises ZeroGradient.
+    is degenerate data and raises SixLassoError.
     """
     if math.isnan(l1_radius):
         raise ValueError("l1_radius must not be NaN")
@@ -513,7 +518,7 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
             raise ValueError("X'y is not finite: X or y has NaN or infinite entries")
         raise ValueError("X'y or its l2 norm overflows")
     if gnorm == 0.0:
-        raise ZeroGradient("X'y = 0: no directional information in the data")
+        raise SixLassoError("X'y = 0: no directional information in the data")
     return _pv_direction(g, gnorm, l1_radius)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sixlasso import Dataset, NegativeRadius, link_mean
+from sixlasso import Dataset, link_mean
 
 P_MAX = 3
 _CHUNK = 200_000
@@ -54,7 +54,7 @@ def oracle_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     linear equation exactly on that segment.
     """
     if radius < 0:
-        raise NegativeRadius(f"radius must be >= 0, got {radius}")
+        raise ValueError(f"radius must be >= 0, got {radius}")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     if a.sum() <= radius:
@@ -79,7 +79,7 @@ def reference_project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     order in fewer arrays, so the two must agree bit for bit.
     """
     if radius < 0:
-        raise NegativeRadius(f"radius must be >= 0, got {radius}")
+        raise ValueError(f"radius must be >= 0, got {radius}")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     if a.sum() <= radius:
@@ -163,7 +163,7 @@ def oracle_lasso_small(data: Dataset, radius: float,
     when radius < step.  Returns (beta, objective at beta).
     """
     if radius < 0:
-        raise NegativeRadius(f"radius must be >= 0, got {radius}")
+        raise ValueError(f"radius must be >= 0, got {radius}")
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     n, p = X.shape
@@ -251,7 +251,7 @@ def oracle_pv_linear(g: np.ndarray, l1_radius: float, step: float = 0.01) -> np.
     p = g.size
     _check_grid(p, step)
     if l1_radius < 0:
-        raise NegativeRadius(f"l1_radius must be >= 0, got {l1_radius}")
+        raise ValueError(f"l1_radius must be >= 0, got {l1_radius}")
     bound = min(l1_radius, 1.0)
     axis = _axis_grid(bound, step)
 

@@ -281,7 +281,7 @@ class TestFitCommand:
             pytest.fail("fit on an underflowing design did not return within 60 s")
         assert done.returncode == 1
         assert done.stdout == ""
-        assert "ZeroMatrix" in done.stderr and "underflow" in done.stderr
+        assert "identically zero" in done.stderr and "underflow" in done.stderr
 
     def test_overflowing_design_is_input_error(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
@@ -292,6 +292,19 @@ class TestFitCommand:
         assert code == 2
         assert out == ""
         assert "overflow" in err
+
+    def test_overflowing_labels_are_input_error(self, tmp_path, capsys):
+        # finite labels whose squared norm overflows: refused as y, not
+        # inside the projection under its argument's name v
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1e150,1e150\n1e150,1e150\n1e150,1e150\n")
+        labels.write_text("1e300\n1e300\n1e300\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+        assert code == 2
+        assert out == ""
+        assert "squared norm of y overflows" in err
+        assert "v must" not in err
 
     def test_stdout_when_no_out(self, tmp_path, capsys):
         design = tmp_path / "X.csv"

@@ -8,12 +8,11 @@ import pytest
 
 from sixlasso import (
     Dataset,
-    EmptyRecords,
     FitResult,
+    SixLassoError,
     SweepSpec,
     TrialMetrics,
     TrialRecord,
-    ZeroVector,
     classify_accuracy,
     compute_lambda,
     direction_error,
@@ -247,6 +246,13 @@ class TestRunTrial:
         # raw errors differ (different data) but both trials scored the same signal
         assert a.seed != b.seed
         assert np.count_nonzero(sig) == spec.s
+
+    def test_negative_radius_is_not_a_failed_record(self, monkeypatch):
+        # a bad argument is not degenerate data: it propagates, and no
+        # failed record hides it
+        monkeypatch.setattr("sixlasso.experiments.resolve_radius", lambda spec: -1.0)
+        with pytest.raises(ValueError, match="radius"):
+            run_trial(smoke_spec(), (50, 0), "lasso")
 
     @pytest.mark.parametrize("rule", ["sqrt_s", "explicit"])
     def test_standalone_trial_matches_the_sweep(self, rule):
@@ -502,7 +508,7 @@ class TestPlaneScoring:
         assert m.direction_error == 2.0 and np.isnan(m.raw_l2_error)
         assert np.isnan(m.test_accuracy)
         assert not rec.converged and rec.iterations == 0
-        with pytest.raises(ZeroVector):
+        with pytest.raises(SixLassoError, match="zero coefficient vector"):
             _plane_score(np.zeros(spec.p), sweep_signal(spec),
                          _plane_test_set(10, "sign", 0))
 
@@ -540,7 +546,7 @@ class TestSummarize:
         assert cells == {("lasso", 50), ("lasso", 100), ("pv", 50)}
 
     def test_empty_records(self):
-        with pytest.raises(EmptyRecords):
+        with pytest.raises(ValueError, match="no records to summarize"):
             summarize([])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sixlasso import (
     Dataset,
-    ZeroVector,
+    SixLassoError,
     classify_accuracy,
     direction_error,
     generate_dataset,
@@ -58,9 +58,9 @@ class TestDirectionError:
             assert 0.0 <= e <= 2.0
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(SixLassoError, match="zero vector"):
             direction_error(np.zeros(3), np.ones(3))
-        with pytest.raises(ZeroVector):
+        with pytest.raises(SixLassoError, match="zero vector"):
             direction_error(np.ones(3), np.zeros(3))
 
 
@@ -136,7 +136,7 @@ class TestClassifyAccuracy:
     def test_zero_vector(self):
         sig = make_signal(4, 1, seed=8)
         test = generate_dataset(sig, 50, "sign", seed=9)
-        with pytest.raises(ZeroVector):
+        with pytest.raises(SixLassoError, match="zero coefficient vector"):
             classify_accuracy(np.zeros(4), test)
 
     def test_rejects_non_binary_labels(self):

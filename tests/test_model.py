@@ -12,7 +12,6 @@ from scipy.stats import norm
 from oracles import compute_lambda_mc
 from sixlasso import (
     LINK_KINDS,
-    InvalidSparsity,
     SweepSpec,
     compute_lambda,
     generate_dataset,
@@ -159,9 +158,9 @@ class TestMakeSignal:
         np.testing.assert_array_equal(np.flatnonzero(sig), drawn)
 
     def test_invalid_sparsity(self):
-        with pytest.raises(InvalidSparsity):
+        with pytest.raises(ValueError, match="need 1 <= s <= p, got s=0, p=5"):
             make_signal(5, 0, seed=0)
-        with pytest.raises(InvalidSparsity):
+        with pytest.raises(ValueError, match="need 1 <= s <= p, got s=6, p=5"):
             make_signal(5, 6, seed=0)
 
     def test_deterministic(self):

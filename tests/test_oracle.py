@@ -6,7 +6,6 @@ import pytest
 from oracles import oracle_lasso_small, oracle_project_l1, oracle_pv_linear, oracle_sphere_lasso
 from sixlasso import (
     Dataset,
-    NegativeRadius,
     fit_lasso,
     generate_dataset,
     lipschitz_estimate,
@@ -49,7 +48,7 @@ class TestOracleProjectL1:
                                    [-1.0, 0.0], atol=1e-12)
 
     def test_negative_radius(self):
-        with pytest.raises(NegativeRadius):
+        with pytest.raises(ValueError, match="radius must be >= 0, got -1.0"):
             oracle_project_l1(np.array([1.0]), -1.0)
 
     def test_agrees_with_sorted_projector(self):
