@@ -125,6 +125,8 @@ def make_signal(p: int, s: int, seed: int = 0) -> np.ndarray:
 class Dataset:
     """Design matrix X (n rows of p features) plus response vector y.
 
+    X is 2-d, of shape (n, p), and y is 1-d with one value per row of X:
+    fit_lasso and pv_linear_fit raise ValueError naming X or y otherwise.
     y is +-1 for binary links and real-valued in the linear regression mode.
     """
 
@@ -148,8 +150,8 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     """Sample a dataset from the single-index model with Gaussian design.
 
     signal is beta*, a 1-d float array, and link one of LINK_KINDS (an
-    unknown name raises ValueError, as does n < 1, before any kept draw is
-    evicted).  X entries are i.i.d.
+    unknown name raises ValueError, as do n < 1 and a signal that is not
+    1-d, before any kept draw is evicted).  X entries are i.i.d.
     N(0,1).  For binary links, y_i = +1 with probability
     (1 + F(x_i'beta))/2 so that E[y_i | x_i] = F(x_i'beta); the sign link is
     thereby deterministic except on the null event x_i'beta = 0.  The linear
@@ -166,6 +168,9 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     drawing, so at most two kept draws are alive.  Since a draw may be
     shared, X and y are read-only.
     """
+    # before the key: a (p, 1) signal has the bytes of its 1-d kept draw
+    if signal.ndim != 1:
+        raise ValueError(f"signal must be a 1-d array, got shape {signal.shape}")
     key = (signal.tobytes(), n, link, seed)
     for kept_key, kept in _KEPT:
         if kept_key == key:

@@ -152,6 +152,20 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     return L
 
 
+def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """data's X and y as float arrays, each the array itself when it is one
+    already.  An X that is not 2-d, or a y that is not 1-d with one value
+    per row of X, raises ValueError naming it."""
+    X = np.asarray(data.X, dtype=float)
+    y = np.asarray(data.y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d array, got shape {X.shape}")
+    if y.shape != X.shape[:1]:
+        raise ValueError(f"y must be 1-d with one value per row of X: X has "
+                         f"{X.shape[0]} rows, y has shape {y.shape}")
+    return X, y
+
+
 def _support_product(X: np.ndarray, S: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X[:, S] @ v, gathered and multiplied one row block at a time.
 
@@ -272,23 +286,24 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A radius
-    that is negative or not finite raises ValueError, and so does a NaN or
-    infinite entry in X or y, an X whose squared column norms overflow or
-    a y whose squared norm overflows: each message names X, y or the
-    radius.  An X that is identically zero, or whose squares all underflow
-    to 0, is degenerate data and raises SixLassoError (lipschitz_estimate).
+    that is negative or not finite raises ValueError, checked first, and so
+    does an X that is not 2-d, a y that is not 1-d with one value per row
+    of X (the shape check pv_linear_fit shares), a NaN or infinite entry in
+    X or y, an X whose squared column norms overflow or a y whose squared
+    norm overflows: each message names X, y or the radius.  An X that is
+    identically zero, or whose squares all underflow to 0, is degenerate
+    data and raises SixLassoError (lipschitz_estimate).
     """
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    X, y = _float_arrays(data)
     # contiguous columns, so that a row block of X_S reads runs of whole
     # columns: a no-op for generate_dataset's column-major X and for a row
     # prefix of it (a sweep fits the first n rows of its rep's draw; the
     # products then run with the draw's row count as leading dimension),
     # one copy for a row-major X
-    X = np.asarray(data.X, dtype=float)
     if X.strides[0] != X.itemsize:
         X = np.asfortranarray(X)
-    y = np.asarray(data.y, dtype=float)
     # one pass over y, as lipschitz_estimate makes over X: a NaN or infinite
     # entry makes y'y non-finite too
     with np.errstate(over="ignore"):
@@ -498,7 +513,9 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     fit_lasso starts along this maximizer at l1 radius max(radius, 1):
     both run the rule after X'y through one private helper.
 
-    A NaN l1_radius, or one below 1, raises ValueError, and so does an X'y
+    A NaN l1_radius, or one below 1, raises ValueError, and so does an X
+    that is not 2-d, a y that is not 1-d with one value per row of X (the
+    shape check fit_lasso shares, its message naming X or y), or an X'y
     that is not finite or whose l2 norm overflows: the message says whether
     X or y has NaN or infinite entries or the product overflows.  X'y = 0
     is degenerate data and raises SixLassoError.
@@ -508,8 +525,7 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     if l1_radius < 1.0:
         raise ValueError(f"l1_radius must be >= 1 (got {l1_radius}); "
                          "smaller radii reduce to a single l1-ball vertex")
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y, dtype=float)
+    X, y = _float_arrays(data)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         g = X.T @ y
         gnorm = np.linalg.norm(g)

@@ -116,6 +116,11 @@ class TestLambdaCommand:
         assert sorted(os.listdir(tmp_path)) == ["X.csv", "y.csv"]
 
 
+def test_input_error_is_a_value_error():
+    # main turns every ValueError into exit 2: the CLI's own input errors too
+    assert issubclass(InputError, ValueError)
+
+
 class TestFitCommand:
     def test_exact_least_squares(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
@@ -176,6 +181,27 @@ class TestFitCommand:
         code, _, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
         assert code == 2
         assert "3" in err and "2" in err
+
+    def test_label_length_mismatch_names_y_and_writes_nothing(self, tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        out = tmp_path / "fit.txt"
+        design.write_text("1,0\n0,1\n1,1\n")
+        labels.write_text("1\n0\n")
+        code, stdout, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1",
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: y must be 1-d with one value per row of X")
+        assert not out.exists()
+
+    def test_bad_radius_is_reported_before_a_label_mismatch(self, tmp_path, capsys):
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1,0\n0,1\n1,1\n")
+        labels.write_text("1\n0\n")
+        code, _, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "-1")
+        assert code == 2
+        assert "radius must be finite and >= 0" in err
 
     def test_non_numeric_cell_diagnostic(self, tmp_path, capsys):
         design = tmp_path / "X.csv"
@@ -261,7 +287,7 @@ class TestFitCommand:
         code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", radius)
         assert code == 2
         assert out == ""
-        assert "--radius" in err
+        assert "radius must be finite and >= 0" in err
 
     def test_underflowing_design_is_domain_error(self, tmp_path):
         # in a subprocess with a timeout: a fit whose step constant starts at
@@ -385,7 +411,7 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--p", "5", "--s", "2", "--n", "0",
                                  "--link", "sign", "--out", str(tmp_path / "sim"))
         assert (code, out) == (2, "")
-        assert "--n must be >= 1, got 0" in err
+        assert "need n >= 1, got 0" in err
         assert not os.listdir(tmp_path)
 
     def test_moment_identity_from_files(self, tmp_path, capsys):

@@ -213,6 +213,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(sig, 0, "logistic", seed=0)
 
+    @pytest.mark.parametrize("link", ["logistic", "linear"], ids=str)
+    def test_rejects_a_signal_that_is_not_1d(self, link):
+        # a (p, 1) signal would give y of shape (n, n), or (n, 1) for linear
+        sig = make_signal(4, 2, seed=0)
+        with pytest.raises(ValueError, match=r"signal must be a 1-d array, got shape \(4, 1\)"):
+            generate_dataset(sig[:, None], 5, link, seed=0)
+
 
 class TestKeptDraws:
     """generate_dataset keeps its last two draws, read-only, and hands a kept
@@ -273,7 +280,8 @@ class TestKeptDraws:
         cold = generate_dataset(sig, 50, "logistic", 7)
         np.testing.assert_array_equal(fresh.y, cold.y)
 
-    @pytest.mark.parametrize("bad", [dict(link="cauchy"), dict(n=0)], ids=["link", "n"])
+    @pytest.mark.parametrize("bad", [dict(link="cauchy"), dict(n=0), dict(signal=SIG[:, None])],
+                             ids=["link", "n", "signal"])
     def test_refused_call_evicts_nothing(self, bad):
         first = generate_dataset(**self.ARGS)
         second = generate_dataset(**dict(self.ARGS, seed=22))

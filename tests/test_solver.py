@@ -658,3 +658,26 @@ class TestPVLinearFit:
         X = np.array([[1e200, 1e200], [1.0, 2.0]])
         with pytest.raises(ValueError, match="overflows"):
             pv_linear_fit(_dataset(X, [1.0, 1.0]), 1.5)
+
+
+_DESIGN = np.arange(1.0, 7.0).reshape(3, 2)
+
+
+@pytest.mark.parametrize("fit", [lambda d: fit_lasso(d, radius=2.0),
+                                 lambda d: pv_linear_fit(d, 2.0)], ids=["lasso", "pv"])
+class TestShapeCheck:
+    """fit_lasso and pv_linear_fit share one shape check: X is 2-d and y is
+    1-d with one value per row of X, or the fit raises ValueError naming
+    the one at fault."""
+
+    def test_column_of_labels_names_y(self, fit):
+        with pytest.raises(ValueError, match=r"^y must be 1-d .* y has shape \(3, 1\)"):
+            fit(_dataset(_DESIGN, [[1.0], [-1.0], [1.0]]))
+
+    def test_labels_one_short_name_y(self, fit):
+        with pytest.raises(ValueError, match=r"^y must be 1-d .* 3 rows, y has shape \(2,\)"):
+            fit(_dataset(_DESIGN, [1.0, -1.0]))
+
+    def test_one_dimensional_design_names_x(self, fit):
+        with pytest.raises(ValueError, match=r"^X must be a 2-d array, got shape \(3,\)"):
+            fit(_dataset(np.array([1.0, 2.0, 3.0]), [1.0, -1.0, 1.0]))
