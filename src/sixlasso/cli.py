@@ -29,8 +29,9 @@ nothing else there.  A failed trial (a degenerate fit) has direction_error
 2, raw_l2_error and test_accuracy nan, norm_beta_hat 0, norm_gap -lambda,
 support_precision 1, support_recall 0, iterations 0 and converged false.
 runtime_ms is last because it is the only column that differs between
-reruns of the same sweep, serial or pooled: compare records with it cut
-(`cut -d, -f1-17`), as the determinism tests and the benchmark's gate do.
+reruns of the same sweep, serial or pooled: compare records with the last
+field of each line cut (`sed 's/,[^,]*$//'`), as the determinism tests and
+the benchmark's gate do.
 
 Environment: SIXLASSO_THREADS sizes the sweep's worker pool.  k >= 2 runs
 the reps in k spawned processes; unset or an integer below 2 runs serially;
@@ -81,6 +82,21 @@ from .model import (
 from .solver import fit_lasso
 
 
+def fmt_real(x: float) -> str:
+    """17-significant-digit decimal: round-trip exact for float64."""
+    return format(float(x), ".17g")
+
+
+def _cell(value) -> str:
+    """The text of an output value: `true` or `false` for a bool, fmt_real
+    for a real, str for anything else."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_real(value)
+    return str(value)
+
+
 def _one_of(values: dict) -> tuple:
     """Parser of a column whose cells are the keys of `values`, and its wording."""
     *rest, last = values
@@ -95,7 +111,7 @@ _RECORD_CELLS = {
     "trial_id": _INT, "seed": _INT, "estimator": _one_of({e: e for e in ESTIMATORS}),
     "n": _INT, "p": _INT, "s": _INT, "link": _one_of({k: k for k in LINK_KINDS}),
     "radius": _REAL, **dict.fromkeys(METRIC_FIELDS, _REAL), "iterations": _INT,
-    "converged": _one_of({"true": True, "false": False}), "runtime_ms": _REAL,
+    "converged": _one_of({_cell(b): b for b in (True, False)}), "runtime_ms": _REAL,
 }
 RECORD_COLUMNS = tuple(_RECORD_CELLS)
 
@@ -113,11 +129,6 @@ class InputError(ValueError):
 
 class OutputError(Exception):
     """Unwritable output destination (exit 3)."""
-
-
-def fmt_real(x: float) -> str:
-    """17-significant-digit decimal: round-trip exact for float64."""
-    return format(float(x), ".17g")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -143,20 +154,18 @@ def write_text_atomic(path: str, text: str) -> None:
 # records / summary CSV
 # ---------------------------------------------------------------------------
 
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    """A header line of `columns`, then one line per row of cells."""
+    return "\n".join([",".join(columns), *(",".join(row) for row in rows)]) + "\n"
+
+
 def record_row(rec: TrialRecord) -> list[str]:
-    return [
-        str(rec.trial_id), str(rec.seed), rec.estimator, str(rec.n), str(rec.p),
-        str(rec.s), rec.link, fmt_real(rec.radius),
-        *(fmt_real(getattr(rec.metrics, name)) for name in METRIC_FIELDS),
-        str(rec.iterations), "true" if rec.converged else "false",
-        fmt_real(rec.runtime_ms),
-    ]
+    fields = vars(rec) | vars(rec.metrics)
+    return [_cell(fields[name]) for name in RECORD_COLUMNS]
 
 
 def records_csv_text(records: list[TrialRecord]) -> str:
-    lines = [",".join(RECORD_COLUMNS)]
-    lines.extend(",".join(record_row(r)) for r in records)
-    return "\n".join(lines) + "\n"
+    return _csv_text(RECORD_COLUMNS, map(record_row, records))
 
 
 def parse_records_csv(text: str) -> list[TrialRecord]:
@@ -186,11 +195,8 @@ def parse_records_csv(text: str) -> list[TrialRecord]:
 
 
 def summary_csv_text(rows: list[SummaryRow]) -> str:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([r.estimator, str(r.n), r.metric,
-                               fmt_real(r.q25), fmt_real(r.median), fmt_real(r.q75)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(SUMMARY_COLUMNS,
+                     ([_cell(getattr(r, name)) for name in SUMMARY_COLUMNS] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +401,16 @@ def cmd_lambda(args) -> int:
 
 def fit_document_text(result, radius: float) -> str:
     """The fit document of a fit_lasso result at l1 radius `radius`."""
-    lines = [
-        f"objective = {fmt_real(result.objective)}",
-        f"iterations = {result.iterations}",
-        f"converged = {'true' if result.converged else 'false'}",
-        f"radius = {fmt_real(radius)}",
-        f"l1_norm = {fmt_real(float(np.abs(result.beta_hat).sum()))}",
-        f"l2_norm = {fmt_real(float(np.linalg.norm(result.beta_hat)))}",
-        f"fp_residual = {fmt_real(result.fp_residual)}",
-        f"lipschitz = {fmt_real(result.lipschitz)}",
-        f"backtracks = {result.backtracks}",
-        "coefficients:",
-    ]
+    values = {
+        "objective": result.objective, "iterations": result.iterations,
+        "converged": result.converged, "radius": radius,
+        "l1_norm": float(np.abs(result.beta_hat).sum()),
+        "l2_norm": float(np.linalg.norm(result.beta_hat)),
+        "fp_residual": result.fp_residual, "lipschitz": result.lipschitz,
+        "backtracks": result.backtracks,
+    }
+    lines = [f"{key} = {_cell(value)}" for key, value in values.items()]
+    lines.append("coefficients:")
     lines.extend(fmt_real(c) for c in result.beta_hat)
     return "\n".join(lines) + "\n"
 

@@ -125,8 +125,9 @@ def make_signal(p: int, s: int, seed: int = 0) -> np.ndarray:
 class Dataset:
     """Design matrix X (n rows of p features) plus response vector y.
 
-    X is 2-d, of shape (n, p), and y is 1-d with one value per row of X:
-    fit_lasso and pv_linear_fit raise ValueError naming X or y otherwise.
+    X is 2-d, of shape (n, p) with n, p >= 1, and y is 1-d with one value
+    per row of X: fit_lasso and pv_linear_fit raise ValueError naming X or
+    y otherwise.
     y is +-1 for binary links and real-valued in the linear regression mode.
     """
 
@@ -150,8 +151,9 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     """Sample a dataset from the single-index model with Gaussian design.
 
     signal is beta*, a 1-d float array, and link one of LINK_KINDS (an
-    unknown name raises ValueError, as do n < 1 and a signal that is not
-    1-d, before any kept draw is evicted).  X entries are i.i.d.
+    unknown name raises ValueError, as do n < 1, a signal that is not 1-d
+    and one with a NaN or infinite entry, before any kept draw is evicted;
+    a call that matches a kept draw skips these checks).  X entries are i.i.d.
     N(0,1).  For binary links, y_i = +1 with probability
     (1 + F(x_i'beta))/2 so that E[y_i | x_i] = F(x_i'beta); the sign link is
     thereby deterministic except on the null event x_i'beta = 0.  The linear
@@ -179,6 +181,9 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
         raise ValueError(f"need n >= 1, got {n}")
     if link not in LINK_KINDS:
         raise ValueError(f"unknown link {link!r}; expected one of {LINK_KINDS}")
+    # a NaN would make every binary label -1, an inf every label its sign
+    if not np.isfinite(signal).all():
+        raise ValueError("signal must be finite: it has NaN or infinite entries")
     del _KEPT[:-1]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((signal.size, n)).T

@@ -154,12 +154,15 @@ def lipschitz_estimate(X: np.ndarray) -> float:
 
 def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """data's X and y as float arrays, each the array itself when it is one
-    already.  An X that is not 2-d, or a y that is not 1-d with one value
-    per row of X, raises ValueError naming it."""
+    already.  An X that is not 2-d or has no rows or no columns, or a y
+    that is not 1-d with one value per row of X, raises ValueError naming
+    it."""
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-d array, got shape {X.shape}")
+    if X.size == 0:
+        raise ValueError(f"X must be a nonempty 2-d array, got shape {X.shape}")
     if y.shape != X.shape[:1]:
         raise ValueError(f"y must be 1-d with one value per row of X: X has "
                          f"{X.shape[0]} rows, y has shape {y.shape}")
@@ -287,10 +290,11 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A radius
     that is negative or not finite raises ValueError, checked first, and so
-    does an X that is not 2-d, a y that is not 1-d with one value per row
-    of X (the shape check pv_linear_fit shares), a NaN or infinite entry in
-    X or y, an X whose squared column norms overflow or a y whose squared
-    norm overflows: each message names X, y or the radius.  An X that is
+    does an X that is not 2-d or has no rows or no columns, a y that is not
+    1-d with one value per row of X (the shape check pv_linear_fit shares),
+    a NaN or infinite entry in X or y, an X whose squared column norms
+    overflow or a y whose squared norm overflows: each message names X, y
+    or the radius.  An X that is
     identically zero, or whose squares all underflow to 0, is degenerate
     data and raises SixLassoError (lipschitz_estimate).
     """
@@ -514,10 +518,11 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     both run the rule after X'y through one private helper.
 
     A NaN l1_radius, or one below 1, raises ValueError, and so does an X
-    that is not 2-d, a y that is not 1-d with one value per row of X (the
-    shape check fit_lasso shares, its message naming X or y), or an X'y
-    that is not finite or whose l2 norm overflows: the message says whether
-    X or y has NaN or infinite entries or the product overflows.  X'y = 0
+    that is not 2-d or has no rows or no columns, a y that is not 1-d with
+    one value per row of X (the shape check fit_lasso shares, its message
+    naming X or y), or an X'y that is not finite or whose l2 norm
+    overflows: the message says whether X or y has NaN or infinite entries
+    or the product overflows.  X'y = 0
     is degenerate data and raises SixLassoError.
     """
     if math.isnan(l1_radius):

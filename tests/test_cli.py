@@ -17,14 +17,17 @@ from sixlasso.cli import (
     RECORD_COLUMNS,
     InputError,
     OutputError,
+    fit_document_text,
     fmt_real,
     main,
     parse_records_csv,
     records_csv_text,
+    summary_csv_text,
     write_text_atomic,
 )
-from sixlasso.experiments import TrialRecord, _failed_metrics, signal_seed
+from sixlasso.experiments import SummaryRow, TrialRecord, _failed_metrics, signal_seed
 from sixlasso.metrics import TrialMetrics
+from sixlasso.solver import FitResult
 
 SQRT_2_OVER_PI = 0.79788456080286536
 INV_SQRT_PI = 0.56418958354775628
@@ -732,6 +735,51 @@ class TestSweepCommand:
             svgs.append((tmp_path / f"{name}.svg").read_text())
         assert svgs[0] == svgs[1]
 
+
+
+class TestGoldenText:
+    """The full text of each written format, byte for byte."""
+
+    def test_records_csv(self):
+        text = records_csv_text([_record(3, _failed_metrics(0.5), False), _record(4, FITTED, True)])
+        assert text == (
+            "trial_id,seed,estimator,n,p,s,link,radius,direction_error,raw_l2_error,"
+            "norm_beta_hat,norm_gap,support_precision,support_recall,test_accuracy,"
+            "iterations,converged,runtime_ms\n"
+            "3,12345,lasso,50,10,2,logistic,1.4142135623730951,"
+            "2,nan,0,-0.5,1,0,nan,0,false,1.25\n"
+            "4,12345,lasso,50,10,2,logistic,1.4142135623730951,"
+            "0.10000000000000001,0.59999999999999998,0.5,0,0.5,1,0.75,0,true,1.25\n")
+
+    def test_summary_csv(self):
+        nan = float("nan")
+        rows = [SummaryRow("lasso", 200, "direction_error", 0.1, 0.25, 1 / 3),
+                SummaryRow("pv", 3000, "test_accuracy", nan, nan, nan),
+                SummaryRow("pv", 3000, "norm_gap", -0.5, 0.0, 2.0)]
+        assert summary_csv_text(rows) == (
+            "estimator,n,metric,q25,median,q75\n"
+            "lasso,200,direction_error,0.10000000000000001,0.25,0.33333333333333331\n"
+            "pv,3000,test_accuracy,nan,nan,nan\n"
+            "pv,3000,norm_gap,-0.5,0,2\n")
+
+    def test_fit_document(self):
+        result = FitResult(beta_hat=np.array([0.5, -0.25, 0.0]), objective=0.1, iterations=7,
+                           converged=False, fp_residual=1e-9, lipschitz=9.0, backtracks=2,
+                           objective_path=np.array([0.3, 0.1]))
+        assert fit_document_text(result, 1.5) == (
+            "objective = 0.10000000000000001\n"
+            "iterations = 7\n"
+            "converged = false\n"
+            "radius = 1.5\n"
+            "l1_norm = 0.75\n"
+            "l2_norm = 0.55901699437494745\n"
+            "fp_residual = 1.0000000000000001e-09\n"
+            "lipschitz = 9\n"
+            "backtracks = 2\n"
+            "coefficients:\n"
+            "0.5\n"
+            "-0.25\n"
+            "0\n")
 
 class TestWriteTextAtomic:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -220,6 +220,16 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=r"signal must be a 1-d array, got shape \(4, 1\)"):
             generate_dataset(sig[:, None], 5, link, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("link", ["logistic", "probit", "sign", "linear"], ids=str)
+    def test_rejects_a_signal_that_is_not_finite(self, link, bad):
+        # a NaN entry would make every binary label -1, an infinite one
+        # every label the sign of its feature
+        sig = make_signal(4, 2, seed=0)
+        sig[0] = bad
+        with pytest.raises(ValueError, match="signal must be finite"):
+            generate_dataset(sig, 5, link, seed=0)
+
 
 class TestKeptDraws:
     """generate_dataset keeps its last two draws, read-only, and hands a kept
@@ -280,8 +290,9 @@ class TestKeptDraws:
         cold = generate_dataset(sig, 50, "logistic", 7)
         np.testing.assert_array_equal(fresh.y, cold.y)
 
-    @pytest.mark.parametrize("bad", [dict(link="cauchy"), dict(n=0), dict(signal=SIG[:, None])],
-                             ids=["link", "n", "signal"])
+    @pytest.mark.parametrize("bad", [dict(link="cauchy"), dict(n=0), dict(signal=SIG[:, None]),
+                                     dict(signal=np.where(SIG != 0, np.nan, 0.0))],
+                             ids=["link", "n", "signal", "signal_not_finite"])
     def test_refused_call_evicts_nothing(self, bad):
         first = generate_dataset(**self.ARGS)
         second = generate_dataset(**dict(self.ARGS, seed=22))

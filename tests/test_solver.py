@@ -1,6 +1,7 @@
 """Tests for the l1-ball projection, the FISTA solver (adaptive backtracking,
 restart and exact finish), and the linear baseline."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -666,9 +667,9 @@ _DESIGN = np.arange(1.0, 7.0).reshape(3, 2)
 @pytest.mark.parametrize("fit", [lambda d: fit_lasso(d, radius=2.0),
                                  lambda d: pv_linear_fit(d, 2.0)], ids=["lasso", "pv"])
 class TestShapeCheck:
-    """fit_lasso and pv_linear_fit share one shape check: X is 2-d and y is
-    1-d with one value per row of X, or the fit raises ValueError naming
-    the one at fault."""
+    """fit_lasso and pv_linear_fit share one shape check: X is 2-d with at
+    least one row and one column and y is 1-d with one value per row of X,
+    or the fit raises ValueError naming the one at fault."""
 
     def test_column_of_labels_names_y(self, fit):
         with pytest.raises(ValueError, match=r"^y must be 1-d .* y has shape \(3, 1\)"):
@@ -681,3 +682,11 @@ class TestShapeCheck:
     def test_one_dimensional_design_names_x(self, fit):
         with pytest.raises(ValueError, match=r"^X must be a 2-d array, got shape \(3,\)"):
             fit(_dataset(np.array([1.0, 2.0, 3.0]), [1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape, y", [((0, 3), []), ((3, 0), [1.0, -1.0, 1.0])],
+                             ids=["no_rows", "no_columns"])
+    def test_empty_design_names_x(self, fit, shape, y):
+        # a bad argument, not degenerate data: pv's X'y would be 0
+        with pytest.raises(ValueError, match=r"^X must be a nonempty 2-d array, got shape "
+                                             + re.escape(str(shape))):
+            fit(_dataset(np.zeros(shape), y))
