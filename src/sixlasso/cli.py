@@ -34,8 +34,9 @@ field of each line cut (`sed 's/,[^,]*$//'`), as the determinism tests and
 the benchmark's gate do.
 
 Environment: SIXLASSO_THREADS sizes the sweep's worker pool.  k >= 2 runs
-the reps in k spawned processes; unset or an integer below 2 runs serially;
-a value that is not an integer is an input error.  Importing sixlasso sets
+the reps in min(k, reps) spawned processes; unset, an integer below 2 or a
+one-rep sweep runs serially, in-process; a value that is not an integer is
+an input error.  Importing sixlasso sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they
 are unset.
 
@@ -285,29 +286,31 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
 
 def read_numeric_csv(path: str, what: str) -> np.ndarray:
     """Parse a headerless numeric CSV with line/column diagnostics; a
-    leading UTF-8 byte order mark, which spreadsheets write, is skipped."""
+    leading UTF-8 byte order mark, which spreadsheets write, is skipped.
+    Blank lines are skipped too, and a diagnostic names the file's own line,
+    blank lines counted."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    rows = [r for r in rows if r]
     if not rows:
         raise InputError(f"{what} file {path} is empty")
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != width:
-            raise InputError(f"{what} file {path}: line {i + 1} has {len(row)} "
+            raise InputError(f"{what} file {path}: line {line} has {len(row)} "
                              f"fields, expected {width}")
         for j, cell in enumerate(row):
             try:
                 data[i, j] = float(cell)
             except ValueError:
-                raise InputError(f"{what} file {path}: line {i + 1}, column {j + 1}: "
+                raise InputError(f"{what} file {path}: line {line}, column {j + 1}: "
                                  f"non-numeric value {cell!r}") from None
             if not np.isfinite(data[i, j]):
-                raise InputError(f"{what} file {path}: line {i + 1}, column {j + 1}: "
+                raise InputError(f"{what} file {path}: line {line}, column {j + 1}: "
                                  f"non-finite value {cell!r}")
     return data
 

@@ -8,7 +8,9 @@ so every estimator and every n of a rep sees the same draws (common random
 numbers across estimators and along the n axis).  One signal, drawn once
 per sweep from its own seed stream, serves every rep.  A rep's cells run n
 descending, and the pool takes a whole rep as one task, where
-generate_dataset's two kept draws let every cell reuse the rep's two sets.
+generate_dataset's two kept draws let every cell reuse the rep's two sets;
+the pool has min(SIXLASSO_THREADS, reps) workers, and a one-rep sweep runs
+in-process.
 
 Reproducibility needs BLAS to sum in the same order in every process:
 `import sixlasso` pins BLAS to one thread (see the package docstring), and
@@ -245,7 +247,8 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     """Generate, fit, and measure one trial.
 
     cell is (n, rep_index).  signal, the sweep's beta* (sweep_signal), may
-    be passed in so that the trials share one draw of it; when omitted it is
+    be passed in so that the trials share one draw of it; one whose shape
+    is not (spec.p,) raises ValueError, naming both shapes.  When omitted it is
     rebuilt from the spec, so the result is a pure function of (spec, cell,
     estimator).  Either way a rep's trials share its two kept draws, which
     generate_dataset matches by value.
@@ -280,6 +283,8 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     radius = resolve_radius(spec)
     if signal is None:
         signal = sweep_signal(spec)
+    elif signal.shape != (spec.p,):
+        raise ValueError(f"signal has shape {signal.shape}, not the spec's ({spec.p},)")
 
     drawn = generate_dataset(signal, spec.n_grid[-1], spec.link, seed)
     # the prefix view of the column-major draw: fit_lasso uses it in place
@@ -325,32 +330,29 @@ def _run_rep(spec: SweepSpec, signal: np.ndarray, rep: int) -> list[TrialRecord]
             for n in reversed(spec.n_grid) for est in spec.estimators]
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-
-
 def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
     The records are a function of spec alone, runtime_ms aside.
-    SIXLASSO_THREADS sets the parallelism (unset, 0 or 1 = serial; k >= 2 =
-    a pool of k spawned worker processes, whose BLAS runs on one thread),
-    and the output, sorted by trial_id, is the same whichever way the
-    trials were scheduled (see the module docstring).
+    SIXLASSO_THREADS=k sets the parallelism: a pool of min(k, reps) spawned
+    worker processes, whose BLAS runs on one thread, when that is 2 or more,
+    and a serial run in this process otherwise (k unset, 0 or 1, or a
+    one-rep sweep).  The output, sorted by trial_id, is the same whichever
+    way the trials were scheduled (see the module docstring).
     The sweep's signal is drawn once, here, and handed to every rep.
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
     each rep is one pool task, so a rep's trials run in one worker and
-    share its two draws there; a pool therefore keeps at most `reps`
-    workers busy.  The pool's modules (concurrent.futures, multiprocessing)
+    share its two draws there; a worker beyond the reps would idle, so the
+    pool has none.  The pool's modules (concurrent.futures, multiprocessing)
     are imported only when a pool runs, so a serial sweep does not pay
     their memory and import time.
     """
-    workers = _thread_budget()
+    raw = os.environ.get(THREADS_ENV, "0")
+    try:
+        workers = min(int(raw), spec.reps)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     task = partial(_run_rep, spec, sweep_signal(spec))
     if workers >= 2:
         from concurrent.futures import ProcessPoolExecutor

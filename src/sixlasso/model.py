@@ -152,8 +152,8 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
 
     signal is beta*, a 1-d float array, and link one of LINK_KINDS (an
     unknown name raises ValueError, as do n < 1, a signal that is not 1-d
-    and one with a NaN or infinite entry, before any kept draw is evicted;
-    a call that matches a kept draw skips these checks).  X entries are i.i.d.
+    and one with a NaN or infinite entry; every call makes these checks,
+    before it looks for a kept draw).  X entries are i.i.d.
     N(0,1).  For binary links, y_i = +1 with probability
     (1 + F(x_i'beta))/2 so that E[y_i | x_i] = F(x_i'beta); the sign link is
     thereby deterministic except on the null event x_i'beta = 0.  The linear
@@ -173,10 +173,6 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     # before the key: a (p, 1) signal has the bytes of its 1-d kept draw
     if signal.ndim != 1:
         raise ValueError(f"signal must be a 1-d array, got shape {signal.shape}")
-    key = (signal.tobytes(), n, link, seed)
-    for kept_key, kept in _KEPT:
-        if kept_key == key:
-            return kept
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if link not in LINK_KINDS:
@@ -184,6 +180,10 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     # a NaN would make every binary label -1, an inf every label its sign
     if not np.isfinite(signal).all():
         raise ValueError("signal must be finite: it has NaN or infinite entries")
+    key = (signal.tobytes(), n, link, seed)
+    for kept_key, kept in _KEPT:
+        if kept_key == key:
+            return kept
     del _KEPT[:-1]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((signal.size, n)).T

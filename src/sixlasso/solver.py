@@ -83,6 +83,9 @@ class FitResult:
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}.
 
+    v may have any shape with at least one axis: the ball is on all of its
+    entries at once, and the result, of v's shape, is the projection of
+    v.ravel() reshaped.
     Sort-and-threshold (Duchi, Shalev-Shwartz, Singer & Chandra 2008): sort
     |v| descending, find the largest k with
     |v|_(k) > (sum of the k largest - radius)/k, and soft-threshold at that
@@ -109,7 +112,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("v must be finite: it has NaN or infinite entries")
     if total <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
+    u = np.sort(a, axis=None)[::-1]
     thresholds = u.cumsum()
     thresholds -= radius
     thresholds /= np.arange(1.0, u.size + 1.0)

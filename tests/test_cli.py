@@ -217,6 +217,21 @@ class TestFitCommand:
             assert out == ""
             assert "line 2" in err and "column 2" in err and cell in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n\n3,x\n", "line 3, column 2: non-numeric value 'x'"),
+        ("1,2\n\n3,4,5\n", "line 3 has 3 fields, expected 2"),
+    ], ids=["bad-cell", "ragged"])
+    def test_diagnostic_after_a_blank_line_names_the_files_line(self, tmp_path, capsys,
+                                                                 text, message):
+        # blank lines are skipped, but a diagnostic counts them
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text(text)
+        labels.write_text("1\n0\n")
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1")
+        assert (code, out) == (2, "")
+        assert f"design file {design}: {message}" in err
+
     def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
         # a spreadsheet's CSV export starts with a UTF-8 byte order mark
         design = tmp_path / "X.csv"
@@ -353,7 +368,7 @@ class TestSimulateCommand:
         assert code == 0
         y = np.loadtxt(f"{prefix}_y.csv")
         assert set(np.unique(y)) <= {-1.0, 1.0}
-        beta_lines = open(f"{prefix}_beta.csv").read().strip().split("\n")
+        beta_lines = Path(f"{prefix}_beta.csv").read_text().strip().split("\n")
         assert len(beta_lines) == 2  # one row per support coordinate
         code, _, _ = run_cli(capsys, "fit", f"{prefix}_X.csv", f"{prefix}_y.csv",
                              "--radius", "1.5", "--out", str(tmp_path / "fit.txt"))
@@ -364,9 +379,8 @@ class TestSimulateCommand:
         for prefix in (a, b):
             run_cli(capsys, "simulate", "--p", "4", "--s", "2", "--n", "30",
                     "--link", "logistic", "--seed", "3", "--out", prefix)
-        assert open(f"{a}_X.csv").read() == open(f"{b}_X.csv").read()
-        assert open(f"{a}_y.csv").read() == open(f"{b}_y.csv").read()
-        assert open(f"{a}_beta.csv").read() == open(f"{b}_beta.csv").read()
+        for name in ("X", "y", "beta"):
+            assert Path(f"{a}_{name}.csv").read_text() == Path(f"{b}_{name}.csv").read_text()
 
     def test_signal_normals_do_not_reappear_in_the_design(self, tmp_path, capsys):
         # one seed for both used to repeat the signal's raw normals in
@@ -425,7 +439,7 @@ class TestSimulateCommand:
         X = np.loadtxt(f"{prefix}_X.csv", delimiter=",")
         y = np.loadtxt(f"{prefix}_y.csv")
         beta = np.zeros(5)
-        for line in open(f"{prefix}_beta.csv").read().strip().split("\n"):
+        for line in Path(f"{prefix}_beta.csv").read_text().strip().split("\n"):
             j, v = line.split(",")
             beta[int(j)] = float(v)
         lam = compute_lambda("logistic")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: seeds, trials, sweeps, aggregation."""
 
+import concurrent.futures
 import dataclasses
 import sys
 
@@ -247,6 +248,12 @@ class TestRunTrial:
         assert a.seed != b.seed
         assert np.count_nonzero(sig) == spec.s
 
+    def test_signal_of_another_length_is_refused(self):
+        # the record would say p = 20 while the fit used 35 features
+        spec = smoke_spec(p=20)
+        with pytest.raises(ValueError, match=r"\(35,\), not the spec's \(20,\)"):
+            run_trial(spec, (50, 0), "lasso", signal=make_signal(35, 2, seed=1))
+
     def test_negative_radius_is_not_a_failed_record(self, monkeypatch):
         # a bad argument is not degenerate data: it propagates, and no
         # failed record hides it
@@ -298,6 +305,44 @@ class TestRunSweep:
             run_sweep(spec, 10)
         with pytest.raises(TypeError):
             run_trial(spec, (50, 0), "lasso", 10)
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """The max_workers of every pool run_sweep builds; no process starts,
+        since the fake pool maps in-process."""
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return built
+
+    def test_one_rep_sweep_builds_no_pool(self, monkeypatch, fake_pool):
+        # a pool of one would only pay a fresh interpreter's imports
+        spec = smoke_spec(reps=1)
+        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+        serial = run_sweep(spec)
+        monkeypatch.setenv("SIXLASSO_THREADS", "2")
+        swept = run_sweep(spec)
+        assert fake_pool == []
+        assert [_without_runtime(r) for r in swept] == [_without_runtime(r) for r in serial]
+
+    def test_pool_has_no_more_workers_than_reps(self, monkeypatch, fake_pool):
+        for threads, reps, workers in ((2, 2, 2), (5, 2, 2), (2, 3, 2), (3, 3, 3)):
+            monkeypatch.setenv("SIXLASSO_THREADS", str(threads))
+            run_sweep(smoke_spec(reps=reps, n_grid=(50,)))
+            assert fake_pool.pop() == workers, (threads, reps)
+        assert fake_pool == []
 
     def test_env_var_controls_threads(self, monkeypatch):
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")

@@ -108,6 +108,13 @@ class TestProjectL1Ball:
         v = np.array([1e300, -2.0])
         np.testing.assert_array_equal(project_l1_ball(v, np.inf), v)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3)])
+    def test_any_shape_projects_all_its_entries_together(self, shape):
+        v = np.random.default_rng(3).standard_normal(shape) * 4.0
+        w = project_l1_ball(v, 1.0)
+        _assert_same_bits(w, project_l1_ball(v.ravel(), 1.0).reshape(shape))
+        assert np.abs(w).sum() <= 1.0 + 1e-12
+
 
 def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got, want)
