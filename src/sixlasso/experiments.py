@@ -5,10 +5,11 @@ so records are reproducible bit-for-bit no matter how (or whether) trials
 are parallelized.  Each rep draws one nested training set of n_max =
 max(n_grid) rows and one held-out set; cell (n, rep) fits the first n rows,
 so every estimator and every n of a rep sees the same draws (common random
-numbers across estimators and along the n axis).  One signal, drawn once
-per sweep from its own seed stream, serves every rep.  A rep's cells run n
-descending, and the pool takes a whole rep as one task, where
-generate_dataset's two kept draws let every cell reuse the rep's two sets;
+numbers across estimators and along the n axis).  One signal, derived
+from the base seed on its own seed stream, serves every rep; each trial
+rebuilds it from the spec.  A rep's cells run n descending, and the pool
+takes a whole rep as one task, where generate_dataset's two kept draws let
+every cell reuse the rep's two sets, and the rep empties them when it ends;
 the pool has min(SIXLASSO_THREADS, reps) workers, and a one-rep sweep runs
 in-process.
 
@@ -42,6 +43,7 @@ from .metrics import (
     support_metrics,
 )
 from .model import (
+    _KEPT,
     LINK_KINDS,
     Dataset,
     compute_lambda,
@@ -242,15 +244,12 @@ def _failed_metrics(lam: float) -> TrialMetrics:
     )
 
 
-def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
-              *, signal: np.ndarray | None = None) -> TrialRecord:
+def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str) -> TrialRecord:
     """Generate, fit, and measure one trial.
 
-    cell is (n, rep_index).  signal, the sweep's beta* (sweep_signal), may
-    be passed in so that the trials share one draw of it; one whose shape
-    is not (spec.p,) raises ValueError, naming both shapes.  When omitted it is
-    rebuilt from the spec, so the result is a pure function of (spec, cell,
-    estimator).  Either way a rep's trials share its two kept draws, which
+    cell is (n, rep_index).  The signal beta* is rebuilt from the spec
+    (sweep_signal), so the result is a pure function of (spec, cell,
+    estimator).  A rep's trials share its two kept draws, which
     generate_dataset matches by value.
     A lasso fit runs to fit_lasso's fixed MAX_ITER cap; one that stops
     there unconverged is recorded with converged False.  At n < p a fit
@@ -281,10 +280,7 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     seed = rep_seed(spec, rep)
     lam = resolve_lambda(spec)
     radius = resolve_radius(spec)
-    if signal is None:
-        signal = sweep_signal(spec)
-    elif signal.shape != (spec.p,):
-        raise ValueError(f"signal has shape {signal.shape}, not the spec's ({spec.p},)")
+    signal = sweep_signal(spec)
 
     drawn = generate_dataset(signal, spec.n_grid[-1], spec.link, seed)
     # the prefix view of the column-major draw: fit_lasso uses it in place
@@ -324,10 +320,17 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str,
     )
 
 
-def _run_rep(spec: SweepSpec, signal: np.ndarray, rep: int) -> list[TrialRecord]:
-    """Every trial of repetition `rep`, n descending: one pool task."""
-    return [run_trial(spec, (n, rep), est, signal=signal)
-            for n in reversed(spec.n_grid) for est in spec.estimators]
+def _run_rep(spec: SweepSpec, rep: int) -> list[TrialRecord]:
+    """Every trial of repetition `rep`, n descending: one pool task.
+
+    The rep's two kept draws go when it ends, returned or raised, so a
+    sweep holds none of them once it is done.
+    """
+    try:
+        return [run_trial(spec, (n, rep), est)
+                for n in reversed(spec.n_grid) for est in spec.estimators]
+    finally:
+        _KEPT.clear()
 
 
 def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
@@ -339,11 +342,11 @@ def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
     and a serial run in this process otherwise (k unset, 0 or 1, or a
     one-rep sweep).  The output, sorted by trial_id, is the same whichever
     way the trials were scheduled (see the module docstring).
-    The sweep's signal is drawn once, here, and handed to every rep.
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
     each rep is one pool task, so a rep's trials run in one worker and
-    share its two draws there; a worker beyond the reps would idle, so the
+    share its two draws there; the rep drops them when it ends, so a serial
+    sweep returns holding none.  A worker beyond the reps would idle, so the
     pool has none.  The pool's modules (concurrent.futures, multiprocessing)
     are imported only when a pool runs, so a serial sweep does not pay
     their memory and import time.
@@ -353,7 +356,7 @@ def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
         workers = min(int(raw), spec.reps)
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    task = partial(_run_rep, spec, sweep_signal(spec))
+    task = partial(_run_rep, spec)
     if workers >= 2:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

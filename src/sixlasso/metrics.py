@@ -1,4 +1,11 @@
-"""Error and diagnostic metrics for fitted directions."""
+"""Error and diagnostic metrics for fitted directions.
+
+Every metric follows errors.py: a zero beta_star, or a numerically zero
+beta_hat where the metric needs a direction, is degenerate data and raises
+SixLassoError; a NaN or infinite entry in beta_hat, beta_star or a test
+design, an empty test set and a lambda that is not finite and positive are
+bad arguments and raise ValueError naming the argument.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,23 @@ from .errors import SixLassoError
 from .model import Dataset
 
 _ZERO_NORM = 1e-300
+
+
+def _finite(name: str, v) -> np.ndarray:
+    """v as a float array; a NaN or infinite entry is a ValueError naming it."""
+    a = np.asarray(v, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite: it has NaN or infinite entries")
+    return a
+
+
+def _direction(beta_star) -> np.ndarray:
+    """beta_star / ||beta_star||; a numerically zero beta_star is degenerate."""
+    bs = _finite("beta_star", beta_star)
+    ns = np.linalg.norm(bs)
+    if ns <= _ZERO_NORM:
+        raise SixLassoError("direction undefined for a zero vector: beta_star is zero")
+    return bs / ns
 
 
 @dataclass(frozen=True)
@@ -37,20 +61,20 @@ def direction_error(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:
     raises SixLassoError (run_trial records the degenerate value 2
     instead).
     """
-    bh = np.asarray(beta_hat, dtype=float)
-    bs = np.asarray(beta_star, dtype=float)
-    nh, ns = np.linalg.norm(bh), np.linalg.norm(bs)
-    if nh <= _ZERO_NORM or ns <= _ZERO_NORM:
-        raise SixLassoError("direction undefined for a zero vector")
-    return float(np.linalg.norm(bh / nh - bs / ns))
+    bh = _finite("beta_hat", beta_hat)
+    u = _direction(beta_star)
+    nh = np.linalg.norm(bh)
+    if nh <= _ZERO_NORM:
+        raise SixLassoError("direction undefined for a zero vector: beta_hat is zero")
+    return float(np.linalg.norm(bh / nh - u))
 
 
 def norm_gap(beta_hat: np.ndarray, lam: float) -> float:
     """Signed gap ||beta_hat||_2 - lambda (how far the fitted scale sits from
     the link constant it concentrates around)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    return float(np.linalg.norm(np.asarray(beta_hat, dtype=float)) - lam)
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    return float(np.linalg.norm(_finite("beta_hat", beta_hat)) - lam)
 
 
 def support_metrics(beta_hat: np.ndarray, beta_star: np.ndarray) -> tuple[float, float]:
@@ -59,12 +83,15 @@ def support_metrics(beta_hat: np.ndarray, beta_star: np.ndarray) -> tuple[float,
 
     The threshold only strips numerical dust (the projection already
     produces exact zeros).  An empty estimated support counts as
-    precision 1.
+    precision 1; an all-zero beta_star, with no support to recall, is
+    degenerate and raises SixLassoError.
     """
-    bh = np.asarray(beta_hat, dtype=float)
+    bh = _finite("beta_hat", beta_hat)
+    true = set(np.flatnonzero(_finite("beta_star", beta_star)).tolist())
+    if not true:
+        raise SixLassoError("support metrics undefined: beta_star is zero")
     threshold = 1e-6 * float(np.max(np.abs(bh))) if bh.size else 0.0
     est = set(np.nonzero(np.abs(bh) > threshold)[0].tolist())
-    true = set(np.flatnonzero(beta_star).tolist())
     hit = len(est & true)
     precision = hit / len(est) if est else 1.0
     recall = hit / len(true)
@@ -79,9 +106,8 @@ def plane_coordinates(beta_hat: np.ndarray, beta_star: np.ndarray) -> np.ndarray
     run_trial scores these on a 2-column test set; its docstring says why
     that is exact in distribution.
     """
-    bh = np.asarray(beta_hat, dtype=float)
-    u = np.asarray(beta_star, dtype=float)
-    u = u / np.linalg.norm(u)
+    bh = _finite("beta_hat", beta_hat)
+    u = _direction(beta_star)
     a = float(bh @ u)
     return np.array([a, float(np.linalg.norm(bh - a * u))])
 
@@ -91,13 +117,16 @@ def classify_accuracy(beta_hat: np.ndarray, test: Dataset) -> float:
 
     sign(0) counts as +1.  Scale-invariant in beta_hat by construction.
     A numerically zero beta_hat is degenerate data and raises
-    SixLassoError; labels other than +-1 raise ValueError.
+    SixLassoError; labels other than +-1 and a test set with no rows raise
+    ValueError.
     """
-    bh = np.asarray(beta_hat, dtype=float)
+    bh = _finite("beta_hat", beta_hat)
     if np.linalg.norm(bh) <= _ZERO_NORM:
         raise SixLassoError("cannot classify with a zero coefficient vector")
     y = np.asarray(test.y, dtype=float)
+    if y.size == 0:
+        raise ValueError("test must have at least one row, got 0")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("test labels must be +-1")
-    pred = np.where(test.X @ bh >= 0.0, 1.0, -1.0)
+    pred = np.where(_finite("test.X", test.X) @ bh >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == y))

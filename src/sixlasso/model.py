@@ -142,8 +142,9 @@ class Dataset:
 # The last two draws, oldest first, as (key, dataset) with the key
 # (signal.tobytes(), n, link, seed).  A sweep trial draws its rep's training
 # set and then its held-out set, and every trial of the rep asks for the same
-# two: keeping two lets them share the draws.  A draw matches by value, so a
-# signal edited in place no longer matches the draw made from its old values.
+# two: keeping two lets them share the draws, and the rep empties the list
+# when it ends.  A draw matches by value, so a signal edited in place no
+# longer matches the draw made from its old values.
 _KEPT: list[tuple[tuple[bytes, int, str, int], Dataset]] = []
 
 
@@ -167,8 +168,9 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     The last two draws are kept.  A call with the same signal values, n,
     link and seed (matched by value: signal by its bytes) returns the kept
     Dataset itself.  A miss evicts the oldest kept draw before
-    drawing, so at most two kept draws are alive.  Since a draw may be
-    shared, X and y are read-only.
+    drawing, so at most two kept draws are alive, and a sweep's rep empties
+    the kept draws when it ends.  Since a draw may be shared, X and y are
+    read-only.
     """
     # before the key: a (p, 1) signal has the bytes of its 1-d kept draw
     if signal.ndim != 1:

@@ -93,9 +93,9 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     unchanged, as a copy.  The thresholds and the result are built in place
     in two arrays beside the sorted |v|.
 
-    A negative or NaN radius, a NaN or infinite entry of v, and an l1
-    norm of v that overflows raise ValueError: each would otherwise give
-    a silent NaN or a wrong point.
+    A negative or NaN radius, a 0-d v, a NaN or infinite entry of v, and
+    an l1 norm of v that overflows raise ValueError: each would otherwise
+    give a silent NaN, a wrong point or numpy's own TypeError.
     The test reads the l1 norm the inside-the-ball check computes anyway,
     so a finite v pays nothing for it; an overflowing sum still raises
     numpy's overflow RuntimeWarning first, as the caller's np.errstate
@@ -104,6 +104,8 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     if not radius >= 0:
         raise ValueError(f"radius must be >= 0 and not NaN, got {radius}")
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        raise ValueError("v must have at least one axis, got a 0-d array")
     a = np.abs(v)
     total = a.sum()
     if not math.isfinite(total):

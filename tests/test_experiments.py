@@ -21,6 +21,7 @@ from sixlasso import (
     generate_dataset,
     make_signal,
     mix64,
+    model,
     norm_gap,
     plane_coordinates,
     pv_linear_fit,
@@ -248,12 +249,6 @@ class TestRunTrial:
         assert a.seed != b.seed
         assert np.count_nonzero(sig) == spec.s
 
-    def test_signal_of_another_length_is_refused(self):
-        # the record would say p = 20 while the fit used 35 features
-        spec = smoke_spec(p=20)
-        with pytest.raises(ValueError, match=r"\(35,\), not the spec's \(20,\)"):
-            run_trial(spec, (50, 0), "lasso", signal=make_signal(35, 2, seed=1))
-
     def test_negative_radius_is_not_a_failed_record(self, monkeypatch):
         # a bad argument is not degenerate data: it propagates, and no
         # failed record hides it
@@ -305,6 +300,19 @@ class TestRunSweep:
             run_sweep(spec, 10)
         with pytest.raises(TypeError):
             run_trial(spec, (50, 0), "lasso", 10)
+        # nor a signal: the spec fixes beta*, so no other one can reach a trial
+        with pytest.raises(TypeError):
+            run_trial(spec, (50, 0), "lasso", signal=sweep_signal(spec))
+
+    def test_serial_sweep_keeps_no_draws(self, monkeypatch):
+        # a rep's two draws go with the rep, whether it returns or raises
+        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+        run_sweep(smoke_spec())
+        assert model._KEPT == []
+        monkeypatch.setattr("sixlasso.experiments.resolve_radius", lambda spec: -1.0)
+        with pytest.raises(ValueError, match="radius"):
+            run_sweep(smoke_spec())
+        assert model._KEPT == []
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
@@ -424,7 +432,7 @@ class TestPairedDesign:
             assert rec.seed == seed
             assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, seed, rec.estimator)
 
-    def test_sweep_draws_one_signal_and_two_sets_per_rep(self, monkeypatch):
+    def test_sweep_draws_one_signal_per_trial_and_two_sets_per_rep(self, monkeypatch):
         spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
                           base_seed=31)
         draws = []
@@ -439,10 +447,12 @@ class TestPairedDesign:
         monkeypatch.setattr(np.random, "default_rng", counting)
         monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
         run_sweep(spec)
-        # one signal per sweep; per rep, one training draw and one held-out draw
-        assert draws.count("make_signal") == 1
+        # each trial rebuilds the signal from the spec; per rep, one training
+        # draw and one held-out draw
+        trials = len(spec.n_grid) * spec.reps * len(spec.estimators)
+        assert draws.count("make_signal") == trials
         assert draws.count("generate_dataset") == 2 * spec.reps
-        assert len(draws) == 1 + 2 * spec.reps
+        assert len(draws) == trials + 2 * spec.reps
 
 
 def _plane_test_set(n, link, seed):

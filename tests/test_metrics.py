@@ -15,6 +15,7 @@ from sixlasso import (
     generate_dataset,
     make_signal,
     norm_gap,
+    plane_coordinates,
     support_metrics,
 )
 
@@ -143,3 +144,54 @@ class TestClassifyAccuracy:
         data = Dataset(X=np.eye(2), y=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             classify_accuracy(np.ones(2), data)
+
+
+class TestErrorsContract:
+    """Degenerate data raises SixLassoError and a bad argument ValueError
+    naming it, as errors.py documents; none ends in a silent NaN."""
+
+    B = np.array([0.6, 0.0, 0.8])
+    TEST_SET = Dataset(X=np.array([[1.0, 0.5, 0.0], [-1.0, 0.2, 0.3]]), y=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("metric", [support_metrics, plane_coordinates])
+    def test_zero_beta_star_is_degenerate(self, metric):
+        # support_metrics divided by an empty support, plane_coordinates
+        # returned [nan, nan]
+        with pytest.raises(SixLassoError, match="beta_star is zero"):
+            metric(self.B, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric, other", [
+        (direction_error, B), (support_metrics, B), (plane_coordinates, B), (norm_gap, 0.5),
+        (classify_accuracy, TEST_SET),
+    ], ids=["direction_error", "support_metrics", "plane_coordinates", "norm_gap",
+            "classify_accuracy"])
+    def test_non_finite_beta_hat_is_refused(self, metric, other, bad):
+        # a NaN gave direction_error nan, support_metrics (1.0, 0.0) and an
+        # accuracy that counted every NaN score as a -1 prediction
+        b = self.B.copy()
+        b[0] = bad
+        with pytest.raises(ValueError, match="beta_hat must be finite"):
+            metric(b, other)
+
+    @pytest.mark.parametrize("metric", [direction_error, support_metrics, plane_coordinates])
+    def test_non_finite_beta_star_is_refused(self, metric):
+        with pytest.raises(ValueError, match="beta_star must be finite"):
+            metric(self.B, np.array([np.nan, 1.0, 0.0]))
+
+    def test_non_finite_test_design_is_refused(self):
+        test = Dataset(X=np.array([[np.nan, 1.0], [1.0, 0.0]]), y=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="test.X must be finite"):
+            classify_accuracy(np.array([1.0, 0.5]), test)
+
+    def test_empty_test_set_is_refused(self):
+        # the mean over no rows was nan, after two RuntimeWarnings
+        test = Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+        with pytest.raises(ValueError, match="test must have at least one row"):
+            classify_accuracy(np.array([1.0, 0.5]), test)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        # lam <= 0 let a NaN through, and norm_gap gave nan
+        with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+            norm_gap(self.B, lam)

@@ -115,6 +115,14 @@ class TestProjectL1Ball:
         _assert_same_bits(w, project_l1_ball(v.ravel(), 1.0).reshape(shape))
         assert np.abs(w).sum() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("v", [np.float64(3.0), np.float64(0.5), 3.0],
+                             ids=["float64_outside", "float64_inside", "float_outside"])
+    def test_zero_d_v_raises(self, v):
+        # a scalar has no axis to project along: outside the ball numpy's
+        # TypeError surfaced, inside it came back unchanged
+        with pytest.raises(ValueError, match=r"\bv\b.*0-d"):
+            project_l1_ball(v, 1.0)
+
 
 def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got, want)
