@@ -8,8 +8,11 @@ an input error (exit 2).
 Owns the on-disk formats: the records/summary CSV schemas, the plain-text
 fit document, and the static SVG error chart.  Real numbers are serialized
 with 17 significant digits so that write -> parse -> write is the identity
-on doubles.  All files are written atomically (temp file + rename), with the
-mode a plain open() would give a new file (0o666 less the umask).
+on doubles.  `simulate` writes its design's float32 entries the same way:
+each is a double exactly, so the file reads back to the same values, which
+`fit` then fits in float64.  All files are written atomically (temp file +
+rename), with the mode a plain open() would give a new file (0o666 less the
+umask).
 
 `sweep --out PATH` writes three files, named from PATH alone: the records
 PATH, the summary <stem>_summary.csv and the SVG chart <stem>.svg, where

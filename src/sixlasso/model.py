@@ -129,6 +129,9 @@ class Dataset:
     per row of X: fit_lasso and pv_linear_fit raise ValueError naming X or
     y otherwise.
     y is +-1 for binary links and real-valued in the linear regression mode.
+    X may be float32, as generate_dataset draws it, or float64, as the CLI
+    reads it, and the fits read y as float64.  They take their full
+    products X'v in X's precision and do everything else in float64.
     """
 
     X: np.ndarray
@@ -163,7 +166,13 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
 
     X is drawn column-major (the normals fill one feature column after
     another), so that a product with the columns of a sparse iterate's
-    support, as in fit_lasso, reads contiguous memory.
+    support, as in fit_lasso, reads contiguous memory.  It is float32,
+    from numpy's float32 normal sampler: that halves the draw, a sweep's
+    one large allocation, and the bytes each of fit_lasso's X'r products
+    reads, which the fits take in X's precision (everything else they do
+    in float64).  y is float64, computed from the float32 entries: the
+    linear link's y is the float64 product X[:, S] @ beta*[S] over the
+    support S of beta*, and the binary links' index is that same product.
 
     The last two draws are kept.  A call with the same signal values, n,
     link and seed (matched by value: signal by its bytes) returns the kept
@@ -188,7 +197,7 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
             return kept
     del _KEPT[:-1]
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((signal.size, n)).T
+    X = rng.standard_normal((signal.size, n), dtype=np.float32).T
     X.flags.writeable = False
     support = np.flatnonzero(signal)
     t = X[:, support] @ signal[support]

@@ -23,6 +23,13 @@ O(n + p + 256|S| + |S|^2) floats beside X and never gathers X_S whole.
 pv_linear_fit maximizes <X'y, beta> over the intersection of an l1 ball
 and the unit l2 ball, the classical one-bit recovery baseline; its rule
 also gives fit_lasso's start direction.
+
+Both fits keep the precision X arrives in.  A float32 X, as
+generate_dataset draws it, has its full products X'v (the gradient and
+X'y) taken in float32, where they read half the bytes; everything else,
+support products and the exact finish included, runs in float64 (the
+mixed-precision split of Higham & Mary 2022).  A float64 X is fitted in
+float64 throughout.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 2  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
 _ROW_BLOCK = 256  # rows of X_S gathered at a time: bounds the gather, keeps it in cache
+# the partial sums of a float32 product stay below this: half float32's
+# largest value, leaving room for rounding
+_F32_SUM_MAX = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,13 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return a
 
 
+def _as_float(X) -> np.ndarray:
+    """X as a float array: a float32 array stays float32, anything else is
+    float64; each is X itself when it is such an array already."""
+    X = np.asarray(X)
+    return X if X.dtype == np.float32 else np.asarray(X, dtype=float)
+
+
 def lipschitz_estimate(X: np.ndarray) -> float:
     """Start for the step constant: the largest diagonal entry of (2/n) X'X.
 
@@ -140,13 +157,14 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     would be vacuous: its message names the NaN or infinite entries of X
     when there are any, and says the squared column norms overflow
     otherwise.  This pass over X is the one finiteness check fit_lasso
-    makes of it.
+    makes of it.  A float32 X is read as it is: its squares are summed in
+    float64 a buffer at a time, with no float64 copy of X.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_float(X)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a nonempty 2-d array")
     with np.errstate(over="ignore"):
-        L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X).max())
+        L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X, dtype=float).max())
     if L == 0.0:
         raise SixLassoError("X is identically zero, or its squares underflow to 0")
     if not np.isfinite(L):
@@ -158,11 +176,11 @@ def lipschitz_estimate(X: np.ndarray) -> float:
 
 
 def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """data's X and y as float arrays, each the array itself when it is one
-    already.  An X that is not 2-d or has no rows or no columns, or a y
-    that is not 1-d with one value per row of X, raises ValueError naming
-    it."""
-    X = np.asarray(data.X, dtype=float)
+    """data's X as a float array (_as_float: float32 or float64) and y as a
+    float64 array, each the array itself when it is one already.  An X
+    that is not 2-d or has no rows or no columns, or a y that is not 1-d
+    with one value per row of X, raises ValueError naming it."""
+    X = _as_float(data.X)
     y = np.asarray(data.y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-d array, got shape {X.shape}")
@@ -174,15 +192,35 @@ def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _xt(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X'v as a float64 vector, multiplied in X's precision.
+
+    A float64 X gives X.T @ v itself.  A float32 X multiplies a float32
+    copy of v / max|v|, which the cast can neither overflow nor flush to
+    0, and the float64 result is scaled back by max|v|: one n-vector cast
+    per product.  An all-zero v gives 0, and a v with a NaN or infinite
+    entry gives NaN.
+    """
+    if X.dtype == np.float64:
+        return X.T @ v
+    scale = float(np.abs(v).max())
+    if not 0.0 < scale < math.inf:
+        return np.full(X.shape[1], scale * 0.0)  # 0, or NaN
+    v32 = np.divide(v, scale, out=np.empty(v.shape, X.dtype), casting="same_kind")
+    return np.multiply(X.T @ v32, scale, dtype=float)
+
+
 def _support_product(X: np.ndarray, S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X[:, S] @ v, gathered and multiplied one row block at a time.
+    """X[:, S] @ v in float64, gathered and multiplied one row block at a
+    time (a float32 block is upcast first).
 
     Each output entry is the same dot product as in the one-shot product,
     so the result is bit-identical to it.
     """
     out = np.empty(X.shape[0])
     for i in range(0, X.shape[0], _ROW_BLOCK):
-        np.dot(X[i:i + _ROW_BLOCK, S], v, out=out[i:i + _ROW_BLOCK])
+        np.dot(X[i:i + _ROW_BLOCK, S].astype(float, copy=False), v,
+               out=out[i:i + _ROW_BLOCK])
     return out
 
 
@@ -284,11 +322,24 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     certificate passes.  A fit that runs out of its MAX_ITER = 5000
     iterations is never converged.
 
+    Precision: X keeps the dtype it arrives in, float32 or float64 (any
+    other is copied to float64); y is float64.  With a float32 X, each
+    full product X'v, the gradient's X'r and the start's X'y, multiplies
+    a float32 copy of v / max|v| (so the cast neither overflows nor
+    flushes v to 0) in float32 and scales the float64 result back by
+    max|v|.  Everything else runs in float64: residuals, objectives,
+    projections, the certificate, the support products X_S v (each
+    256-row block of a float32 X_S is upcast before use) and the finish's
+    X_S'X_S, X_S'y and LU solve.  So the gradient carries float32
+    rounding, while every accept, stop and finish test is made in
+    float64.  A float64 X is fitted in float64 throughout.
+
     Memory: beyond X (and its copy, if X is row-major) a fit holds
     O(n + p + 256|S| + |S|^2) floats: n- and p-vectors, one 256-row block
-    of X_S, and two |S| x |S| arrays in the finish: X_S'X_S and one
-    block's product while summing (the product is freed as it is added),
-    then X_S'X_S and the copy the LU solve factors.  It makes no n x p
+    of X_S (and its float32 gather, for a float32 X), and two |S| x |S|
+    arrays in the finish: X_S'X_S and one block's product while summing
+    (the product is freed as it is added), then X_S'X_S and the copy the
+    LU solve factors.  It makes no n x p
     temporary: the finiteness check of X rides on lipschitz_estimate's
     column sums of squares.
 
@@ -298,8 +349,10 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     does an X that is not 2-d or has no rows or no columns, a y that is not
     1-d with one value per row of X (the shape check pv_linear_fit shares),
     a NaN or infinite entry in X or y, an X whose squared column norms
-    overflow or a y whose squared norm overflows: each message names X, y
-    or the radius.  An X that is
+    overflow, a float32 X whose products could overflow float32 (sqrt(n)
+    times its largest column norm reaches 1.7e38, half float32's range; its
+    float64 copy fits) or a y whose squared norm overflows: each message
+    names X, y or the radius.  An X that is
     identically zero, or whose squares all underflow to 0, is degenerate
     data and raises SixLassoError (lipschitz_estimate).
     """
@@ -324,10 +377,15 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     n, p = X.shape
 
     L = lipschitz_estimate(X)  # raises on a NaN or infinite entry of X
+    # a partial sum of the float32 product X_j'(v / max|v|) is at most
+    # ||X_j||_2 sqrt(n) = n sqrt(L/2) (Cauchy-Schwarz)
+    if X.dtype == np.float32 and not n * math.sqrt(L / 2.0) < _F32_SUM_MAX:
+        raise ValueError("X is float32 and its products X'v could overflow float32: "
+                         "pass X as float64")
     backtracks = 0
 
     def gradient(r):
-        g = X.T @ r
+        g = _xt(X, r)
         g *= 2.0 / n
         return g
 
@@ -372,7 +430,7 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
         gram, xty = np.zeros((S.size, S.size)), np.zeros(S.size)
         with np.errstate(all="ignore"):
             for i in range(0, n, _ROW_BLOCK):
-                block = X[i:i + _ROW_BLOCK, S]
+                block = X[i:i + _ROW_BLOCK, S].astype(float, copy=False)
                 gram += block.T @ block
                 xty += block.T @ y[i:i + _ROW_BLOCK]
                 del block  # the next gather then does not overlap it
@@ -414,7 +472,7 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
 
     # the pv start t w (see above), or 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y starts at 0
-        xty = X.T @ y
+        xty = _xt(X, y)
         xty_norm = np.linalg.norm(xty)
     beta, t_start = np.zeros(p), 0.0
     if math.isfinite(xty_norm) and xty_norm > 0.0:
@@ -520,15 +578,17 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     the l1 sphere, and the maximizer is that tied face scaled onto it.
 
     fit_lasso starts along this maximizer at l1 radius max(radius, 1):
-    both run the rule after X'y through one private helper.
+    both run the rule after X'y through one private helper.  X'y is taken
+    in X's precision as in fit_lasso (float32 for a float32 X, on
+    y / max|y|, with a float64 result), and the rule after it in float64.
 
     A NaN l1_radius, or one below 1, raises ValueError, and so does an X
     that is not 2-d or has no rows or no columns, a y that is not 1-d with
     one value per row of X (the shape check fit_lasso shares, its message
-    naming X or y), or an X'y that is not finite or whose l2 norm
+    naming X or y), or an X'y that is not finite (for a float32 X, also
+    one whose float32 product X'(y / max|y|) overflows) or whose l2 norm
     overflows: the message says whether X or y has NaN or infinite entries
-    or the product overflows.  X'y = 0
-    is degenerate data and raises SixLassoError.
+    or the product overflows.  X'y = 0 is degenerate data and raises SixLassoError.
     """
     if math.isnan(l1_radius):
         raise ValueError("l1_radius must not be NaN")
@@ -537,7 +597,7 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
                          "smaller radii reduce to a single l1-ball vertex")
     X, y = _float_arrays(data)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        g = X.T @ y
+        g = _xt(X, y)
         gnorm = np.linalg.norm(g)
     if not math.isfinite(gnorm):
         if not (np.isfinite(X).all() and np.isfinite(y).all()):

@@ -171,9 +171,12 @@ class TestMakeSignal:
 
 class TestGenerateDataset:
     def test_linear_mode_is_noiseless(self):
+        # y is the draw's support product: the float32 entries of the
+        # support columns times beta*'s nonzeros, in float64
         sig = make_signal(8, 3, seed=2)
         data = generate_dataset(sig, 50, "linear", seed=9)
-        np.testing.assert_array_equal(data.y, data.X @ sig)
+        support = np.flatnonzero(sig)
+        np.testing.assert_array_equal(data.y, data.X[:, support] @ sig[support])
 
     def test_sign_link_is_deterministic_labels(self):
         sig = make_signal(6, 2, seed=4)
@@ -198,6 +201,14 @@ class TestGenerateDataset:
         data = generate_dataset(sig, 25, "probit", seed=2)
         assert data.X.shape == (25, 40)
         assert data.X.flags.f_contiguous
+
+    @pytest.mark.parametrize("link", LINK_KINDS, ids=str)
+    def test_design_is_float32_and_labels_float64(self, link):
+        sig = make_signal(40, 3, seed=6)
+        data = generate_dataset(sig, 25, link, seed=2)
+        assert data.X.dtype == np.float32 and data.y.dtype == np.float64
+        assert data.X.flags.f_contiguous
+        assert not data.X.flags.writeable and not data.y.flags.writeable
 
     def test_moment_identity_logistic(self):
         """E[y x] = lambda beta* under Gaussian design; the engine behind

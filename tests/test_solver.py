@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_project_l1, reference_project_l1
 from sixlasso import (
+    LINK_KINDS,
     Dataset,
     FitResult,
     SixLassoError,
@@ -233,6 +234,12 @@ def _prefix_view():
     return _dataset(full.X[:3000], full.y[:3000])
 
 
+def _float64_bytes(X):
+    """The bytes of a float64 array of X's shape: the memory bounds below
+    are fractions of it, so they do not halve with a float32 X."""
+    return X.size * 8
+
+
 def _traced_fit(data, radius):
     """fit_lasso's result and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -409,7 +416,7 @@ class TestFitLasso:
         assert not view.X.flags.f_contiguous and view.X.strides[0] == view.X.itemsize
         fit, peak = _traced_fit(view, np.sqrt(10))
         assert fit.converged
-        assert peak < view.X.nbytes / 8, (peak, view.X.nbytes)
+        assert peak < _float64_bytes(view.X) / 8, (peak, _float64_bytes(view.X))
         copied = fit_lasso(_dataset(np.asfortranarray(view.X), view.y), radius=np.sqrt(10))
         np.testing.assert_allclose(fit.beta_hat, copied.beta_hat, rtol=0, atol=1e-12)
 
@@ -420,7 +427,7 @@ class TestFitLasso:
         fit, peak = _traced_fit(view, 10.0)
         assert fit.converged
         assert np.count_nonzero(fit.beta_hat) > 300
-        assert peak < view.X.nbytes / 2, (peak, view.X.nbytes)
+        assert peak < _float64_bytes(view.X) / 2, (peak, _float64_bytes(view.X))
 
     def test_singular_support(self):
         # two equal columns share the weight, so X_S'X_S is singular; the fit
@@ -537,15 +544,18 @@ class TestPVStart:
 
     def test_radius_below_one_starts_inside_the_ball(self):
         # pv takes no radius below 1: the direction comes from radius 1, and
-        # the cap at the sphere pulls the line-search minimizer inside
+        # the cap at the sphere pulls the line-search minimizer inside.  The
+        # radius is half the l1 norm of that minimizer, and below 1, so the
+        # cap binds whatever the draw (w'X'y > 0, as w maximizes it)
         sig = make_signal(200, 5, seed=2)
         data = generate_dataset(sig, 60, "logistic", seed=3)
         w = pv_linear_fit(data, 1.0)
         Xw = data.X @ w
-        assert float(Xw @ data.y) / float(Xw @ Xw) * np.abs(w).sum() > 0.3
-        start = _pv_start(data, 0.3)
-        assert np.abs(start).sum() == pytest.approx(0.3, rel=1e-15)
-        fit = fit_lasso(data, 0.3)
+        reach = float(Xw @ data.y) / float(Xw @ Xw) * np.abs(w).sum()
+        radius = 0.5 * min(reach, 1.0)
+        start = _pv_start(data, radius)
+        assert np.abs(start).sum() == pytest.approx(radius, rel=1e-15)
+        fit = fit_lasso(data, radius)
         assert fit.objective_path[0] == pytest.approx(self._objective(data, start), rel=1e-12)
 
     def test_zero_correlation_starts_at_zero(self):
@@ -705,3 +715,66 @@ class TestShapeCheck:
         with pytest.raises(ValueError, match=r"^X must be a nonempty 2-d array, got shape "
                                              + re.escape(str(shape))):
             fit(_dataset(np.zeros(shape), y))
+
+
+def _float64_copy(data):
+    return _dataset(np.asfortranarray(data.X, dtype=float), data.y)
+
+
+class TestFloat32Design:
+    """A float32 X, as generate_dataset draws it, is fitted as it is: its
+    products X'v run in float32 and everything else in float64, so the fits
+    match those of its float64 copy to within float32 rounding."""
+
+    @pytest.mark.parametrize("scale", [1e39, 1e-46], ids=["huge", "tiny"])
+    def test_labels_beyond_float32s_range(self, scale):
+        # a float32 cast of y or of the residual would overflow (1e39) or
+        # flush to 0 (1e-46): the products run on v / max|v|
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((50, 20)).astype(np.float32)
+        y = scale * rng.choice([-1.0, 1.0], 50)
+        data, copy = _dataset(X, y), _float64_copy(_dataset(X, y))
+        fit, ref = fit_lasso(data, radius=1.0), fit_lasso(copy, radius=1.0)
+        assert fit.converged and ref.converged
+        np.testing.assert_allclose(fit.beta_hat / scale, ref.beta_hat / scale, rtol=0, atol=1e-6)
+        w = pv_linear_fit(data, 2.0)
+        np.testing.assert_allclose(w, pv_linear_fit(copy, 2.0), rtol=0, atol=1e-6)
+
+    # every link at n > p, where the minimizer is unique; the binary links
+    # also at n < p, the sweep's regime.  (The noiseless linear fit at
+    # n < p ends with more nonzeros than rows, among many minimizers, and
+    # the two precisions may stop at different ones.)
+    @pytest.mark.parametrize("link, p, n", [(link, 200, 400) for link in LINK_KINDS]
+                             + [(link, 300, 100) for link in LINK_KINDS[1:]])
+    def test_fits_match_the_float64_copy(self, link, p, n):
+        sig = make_signal(p, 5, seed=3)
+        data = generate_dataset(sig, n, link, seed=4)
+        copy = _float64_copy(data)
+        fit, ref = fit_lasso(data, np.sqrt(5)), fit_lasso(copy, np.sqrt(5))
+        assert fit.converged == ref.converged
+        np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(np.sign(fit.beta_hat), np.sign(ref.beta_hat))
+        w, w_ref = pv_linear_fit(data, np.sqrt(5)), pv_linear_fit(copy, np.sqrt(5))
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(np.sign(w), np.sign(w_ref))
+
+    def test_lipschitz_estimate_makes_no_copy(self):
+        # the squares are summed in float64 a buffer at a time
+        X = generate_dataset(make_signal(400, 3, seed=1), 1000, "logistic", seed=2).X
+        tracemalloc.start()
+        try:
+            est = lipschitz_estimate(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4, (peak, X.nbytes)
+        assert est == pytest.approx(lipschitz_estimate(X.astype(float)), rel=1e-13)
+
+    def test_products_beyond_float32s_range_are_refused(self):
+        # sqrt(n) times a column norm passes float32's range, so X'y could
+        # overflow there: refused by name, where the float64 copy fits
+        X = np.full((50, 20), 3e37, np.float32)
+        y = np.ones(50)
+        with pytest.raises(ValueError, match="X is float32 .* pass X as float64"):
+            fit_lasso(_dataset(X, y), radius=1.0)
+        assert fit_lasso(_float64_copy(_dataset(X, y)), radius=1.0).converged
