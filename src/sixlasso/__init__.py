@@ -3,14 +3,14 @@ least squares, with a seeded Monte Carlo harness.
 
 Importing sixlasso sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 unless the environment already sets them, so BLAS runs
-on one thread in this process and in the sweep pool's spawned workers.  The
-setting takes effect only where sixlasso is imported before numpy.
+on one thread, in every thread of the sweep pool too.  The setting takes
+effect only where sixlasso is imported before numpy.
 """
 
 import os
 
-# Trials run in parallel across SIXLASSO_THREADS worker processes, so that is
-# the one source of parallelism.  A second BLAS thread buys no wall time at
+# A sweep's reps run in parallel on SIXLASSO_THREADS threads, so that is the
+# one source of parallelism.  A second BLAS thread buys no wall time at
 # these sizes: it spins through the rest of a sweep once a product wakes it,
 # and it makes the summation order, and so the last digit of lasso records,
 # depend on the thread count.  This must run before numpy is first imported;

@@ -36,10 +36,10 @@ reruns of the same sweep, serial or pooled: compare records with the last
 field of each line cut (`sed 's/,[^,]*$//'`), as the determinism tests and
 the benchmark's gate do.
 
-Environment: SIXLASSO_THREADS sizes the sweep's worker pool.  k >= 2 runs
-the reps in min(k, reps) spawned processes; unset, an integer below 2 or a
-one-rep sweep runs serially, in-process; a value that is not an integer is
-an input error.  Importing sixlasso sets
+Environment: SIXLASSO_THREADS sizes the sweep's thread pool.  k >= 2 runs
+the reps on min(k, reps) threads of this process; unset, an integer below 2
+or a one-rep sweep runs serially; a value that is not an integer is an input
+error.  Importing sixlasso sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they
 are unset.
 

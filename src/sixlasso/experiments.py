@@ -8,18 +8,18 @@ so every estimator and every n of a rep sees the same draws (common random
 numbers across estimators and along the n axis).  One signal, derived
 from the base seed on its own seed stream, serves every rep; each trial
 rebuilds it from the spec.  A rep's cells run n descending, and the pool
-takes a whole rep as one task, where generate_dataset's two kept draws let
-every cell reuse the rep's two sets, and the rep empties them when it ends;
-the pool has min(SIXLASSO_THREADS, reps) workers, and a one-rep sweep runs
-in-process.
+takes a whole rep as one task on one thread, where that thread's two kept
+draws (generate_dataset) let every cell reuse the rep's two sets, and the
+rep empties them when it ends; the pool has min(SIXLASSO_THREADS, reps)
+threads, and a one-rep sweep runs serially.
 
-Reproducibility needs BLAS to sum in the same order in every process:
-`import sixlasso` pins BLAS to one thread (see the package docstring), and
-the pool's spawned workers inherit the setting.  A value above 1 that the
-user exported for OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
-MKL_NUM_THREADS) is kept, and so are the threads of a process that imported
-numpy before sixlasso; lasso records may then differ from a one-thread run
-in the last digit.
+Reproducibility needs BLAS to sum in the same order on every thread:
+`import sixlasso` pins BLAS to one thread (see the package docstring), so
+every pool thread calls one-thread BLAS.  A value above 1 that the user
+exported for OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) is
+kept, and so are the threads of a process that imported numpy before
+sixlasso; lasso records may then differ from a one-thread run in the last
+digit.
 """
 
 from __future__ import annotations
@@ -323,33 +323,34 @@ def run_trial(spec: SweepSpec, cell: tuple[int, int], estimator: str) -> TrialRe
 def _run_rep(spec: SweepSpec, rep: int) -> list[TrialRecord]:
     """Every trial of repetition `rep`, n descending: one pool task.
 
-    The rep's two kept draws go when it ends, returned or raised, so a
-    sweep holds none of them once it is done.
+    The rep's two kept draws go when it ends, returned or raised, so the
+    thread that ran it holds none of them once it is done.
     """
     try:
         return [run_trial(spec, (n, rep), est)
                 for n in reversed(spec.n_grid) for est in spec.estimators]
     finally:
-        _KEPT.clear()
+        _KEPT.draws.clear()
 
 
 def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
     """Run every (n, rep, estimator) trial of the sweep.
 
     The records are a function of spec alone, runtime_ms aside.
-    SIXLASSO_THREADS=k sets the parallelism: a pool of min(k, reps) spawned
-    worker processes, whose BLAS runs on one thread, when that is 2 or more,
-    and a serial run in this process otherwise (k unset, 0 or 1, or a
-    one-rep sweep).  The output, sorted by trial_id, is the same whichever
-    way the trials were scheduled (see the module docstring).
+    SIXLASSO_THREADS=k sets the parallelism: a pool of min(k, reps)
+    threads in this process when that is 2 or more, and a serial run
+    otherwise (k unset, 0 or 1, or a one-rep sweep).  The fits' heavy work
+    is one-thread BLAS, which releases the GIL, so the threads share the
+    cores.  The output, sorted by trial_id, is the same whichever way the
+    trials were scheduled (see the module docstring).
     Trials run rep by rep, n descending within a rep (the largest fit's
     temporaries come first, so the smaller ones reuse their memory), and
-    each rep is one pool task, so a rep's trials run in one worker and
-    share its two draws there; the rep drops them when it ends, so a serial
-    sweep returns holding none.  A worker beyond the reps would idle, so the
-    pool has none.  The pool's modules (concurrent.futures, multiprocessing)
-    are imported only when a pool runs, so a serial sweep does not pay
-    their memory and import time.
+    each rep is one pool task, so a rep's trials run on one thread and share
+    its two draws there; the rep drops them when it ends, so the sweep
+    returns holding none.  Each busy thread holds one rep's draws at once.
+    A thread beyond the reps would idle, so the pool has none.
+    concurrent.futures is imported only when a pool runs, so a serial sweep
+    does not pay its memory and import time.
     """
     raw = os.environ.get(THREADS_ENV, "0")
     try:
@@ -358,10 +359,9 @@ def run_sweep(spec: SweepSpec) -> list[TrialRecord]:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     task = partial(_run_rep, spec)
     if workers >= 2:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(task, range(spec.reps)))
     else:
         per_rep = map(task, range(spec.reps))

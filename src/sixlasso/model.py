@@ -17,6 +17,7 @@ module, applied entry by entry.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,13 +143,24 @@ class Dataset:
         return self.X.shape[0]
 
 
-# The last two draws, oldest first, as (key, dataset) with the key
-# (signal.tobytes(), n, link, seed).  A sweep trial draws its rep's training
-# set and then its held-out set, and every trial of the rep asks for the same
-# two: keeping two lets them share the draws, and the rep empties the list
-# when it ends.  A draw matches by value, so a signal edited in place no
-# longer matches the draw made from its old values.
-_KEPT: list[tuple[tuple[bytes, int, str, int], Dataset]] = []
+class _Kept(threading.local):
+    """Each thread's last two draws, oldest first, in `draws`.
+
+    An entry is (key, dataset) with the key (signal.tobytes(), n, link,
+    seed).  A sweep trial draws its rep's training set and then its held-out
+    set, and every trial of the rep asks for the same two: keeping two lets
+    them share the draws, and the rep empties the list when it ends.  The
+    list is per thread, so reps running on two threads of a pool neither
+    evict nor clear each other's draws.  A draw matches by value, so a
+    signal edited in place no longer matches the draw made from its old
+    values.
+    """
+
+    def __init__(self):
+        self.draws: list[tuple[tuple[bytes, int, str, int], Dataset]] = []
+
+
+_KEPT = _Kept()
 
 
 def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Dataset:
@@ -174,12 +186,12 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     linear link's y is the float64 product X[:, S] @ beta*[S] over the
     support S of beta*, and the binary links' index is that same product.
 
-    The last two draws are kept.  A call with the same signal values, n,
-    link and seed (matched by value: signal by its bytes) returns the kept
-    Dataset itself.  A miss evicts the oldest kept draw before
-    drawing, so at most two kept draws are alive, and a sweep's rep empties
-    the kept draws when it ends.  Since a draw may be shared, X and y are
-    read-only.
+    The calling thread's last two draws are kept.  A call with the same
+    signal values, n, link and seed (matched by value: signal by its bytes)
+    returns the kept Dataset itself.  A miss evicts the thread's oldest kept
+    draw before drawing, so at most two kept draws per thread are alive, and
+    a sweep's rep empties its thread's kept draws when it ends.  Since a
+    draw may be shared, X and y are read-only.
     """
     # before the key: a (p, 1) signal has the bytes of its 1-d kept draw
     if signal.ndim != 1:
@@ -192,10 +204,11 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
     if not np.isfinite(signal).all():
         raise ValueError("signal must be finite: it has NaN or infinite entries")
     key = (signal.tobytes(), n, link, seed)
-    for kept_key, kept in _KEPT:
+    draws = _KEPT.draws
+    for kept_key, kept in draws:
         if kept_key == key:
             return kept
-    del _KEPT[:-1]
+    del draws[:-1]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((signal.size, n), dtype=np.float32).T
     X.flags.writeable = False
@@ -207,5 +220,5 @@ def generate_dataset(signal: np.ndarray, n: int, link: str, seed: int) -> Datase
         y = np.where(rng.random(n) < 0.5 * (1.0 + link_mean(link, t)), 1.0, -1.0)
     y.flags.writeable = False
     data = Dataset(X=X, y=y)
-    _KEPT.append((key, data))
+    draws.append((key, data))
     return data

@@ -434,9 +434,9 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
                 gram += block.T @ block
                 xty += block.T @ y[i:i + _ROW_BLOCK]
                 del block  # the next gather then does not overlap it
-            # one LU solve; BLAS runs on one thread in every sixlasso process
-            # (see the package docstring), so a serial and a pooled sweep get
-            # the same bits
+            # one LU solve; every sweep thread calls one-thread BLAS (see the
+            # package docstring), so a serial and a pooled sweep get the same
+            # bits
             try:
                 u, w = np.linalg.solve(gram, np.column_stack((xty, sigma))).T
             except np.linalg.LinAlgError:  # LAPACK found the Gram singular

@@ -17,6 +17,7 @@ from sixlasso import (
     classify_accuracy,
     compute_lambda,
     direction_error,
+    experiments,
     fit_lasso,
     generate_dataset,
     make_signal,
@@ -304,53 +305,75 @@ class TestRunSweep:
         with pytest.raises(TypeError):
             run_trial(spec, (50, 0), "lasso", signal=sweep_signal(spec))
 
-    def test_serial_sweep_keeps_no_draws(self, monkeypatch):
+    @pytest.fixture
+    def kept_after_rep(self, monkeypatch):
+        """The number of draws each rep's thread still keeps when the rep
+        ends, returned or raised."""
+        left = []
+        real = experiments._run_rep
+
+        def spy(spec, rep):
+            try:
+                return real(spec, rep)
+            finally:
+                left.append(len(model._KEPT.draws))
+
+        monkeypatch.setattr(experiments, "_run_rep", spy)
+        return left
+
+    def test_serial_sweep_keeps_no_draws(self, monkeypatch, kept_after_rep):
         # a rep's two draws go with the rep, whether it returns or raises
         monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
         run_sweep(smoke_spec())
-        assert model._KEPT == []
+        assert kept_after_rep == [0, 0]
+        assert model._KEPT.draws == []
         monkeypatch.setattr("sixlasso.experiments.resolve_radius", lambda spec: -1.0)
         with pytest.raises(ValueError, match="radius"):
             run_sweep(smoke_spec())
-        assert model._KEPT == []
+        assert kept_after_rep[2:] == [0]
+        assert model._KEPT.draws == []
+
+    def test_pooled_sweep_raises_and_keeps_no_draws(self, monkeypatch, kept_after_rep):
+        # a rep's error reaches the caller through the pool, and every rep
+        # that ran emptied its own thread's draws
+        model._KEPT.draws.clear()
+        monkeypatch.setenv("SIXLASSO_THREADS", "2")
+        monkeypatch.setattr("sixlasso.experiments.resolve_radius", lambda spec: -1.0)
+        with pytest.raises(ValueError, match="radius"):
+            run_sweep(smoke_spec(reps=4))
+        assert kept_after_rep and set(kept_after_rep) == {0}
+        assert model._KEPT.draws == []
 
     @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        """The max_workers of every pool run_sweep builds; no process starts,
-        since the fake pool maps in-process."""
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool run_sweep builds; the pools are real
+        thread pools."""
         built = []
 
-        class FakePool:
-            def __init__(self, max_workers, mp_context):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
                 built.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         return built
 
-    def test_one_rep_sweep_builds_no_pool(self, monkeypatch, fake_pool):
-        # a pool of one would only pay a fresh interpreter's imports
+    def test_one_rep_sweep_builds_no_pool(self, monkeypatch, pool_sizes):
+        # a pool of one would run the rep no sooner than the caller does
         spec = smoke_spec(reps=1)
         monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
         serial = run_sweep(spec)
         monkeypatch.setenv("SIXLASSO_THREADS", "2")
         swept = run_sweep(spec)
-        assert fake_pool == []
+        assert pool_sizes == []
         assert [_without_runtime(r) for r in swept] == [_without_runtime(r) for r in serial]
 
-    def test_pool_has_no_more_workers_than_reps(self, monkeypatch, fake_pool):
+    def test_pool_has_no_more_workers_than_reps(self, monkeypatch, pool_sizes):
         for threads, reps, workers in ((2, 2, 2), (5, 2, 2), (2, 3, 2), (3, 3, 3)):
             monkeypatch.setenv("SIXLASSO_THREADS", str(threads))
             run_sweep(smoke_spec(reps=reps, n_grid=(50,)))
-            assert fake_pool.pop() == workers, (threads, reps)
-        assert fake_pool == []
+            assert pool_sizes.pop() == workers, (threads, reps)
+        assert pool_sizes == []
 
     def test_env_var_controls_threads(self, monkeypatch):
         monkeypatch.setenv("SIXLASSO_THREADS", "not-a-number")
@@ -433,7 +456,7 @@ class TestPairedDesign:
             assert _as_computed(rec) == _cell_metrics(spec, signal, rec.n, seed, rec.estimator)
 
     def test_sweep_draws_one_signal_per_trial_and_two_sets_per_rep(self, monkeypatch):
-        spec = smoke_spec(p=60, s=3, estimators=("lasso", "pv"), test_n=500,
+        spec = smoke_spec(p=60, s=3, reps=4, estimators=("lasso", "pv"), test_n=500,
                           base_seed=31)
         draws = []
         real = np.random.default_rng
@@ -445,14 +468,30 @@ class TestPairedDesign:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
-        run_sweep(spec)
         # each trial rebuilds the signal from the spec; per rep, one training
-        # draw and one held-out draw
+        # draw and one held-out draw.  Pooled, each thread keeps its own
+        # rep's draws: a cache the threads shared would evict one rep's set
+        # for another's and draw it again.  4 threads on a short switch
+        # interval interleave the reps as finely as the interpreter allows
         trials = len(spec.n_grid) * spec.reps * len(spec.estimators)
-        assert draws.count("make_signal") == trials
-        assert draws.count("generate_dataset") == 2 * spec.reps
-        assert len(draws) == trials + 2 * spec.reps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (None, "2", "4"):
+                draws.clear()
+                if threads is None:
+                    monkeypatch.delenv("SIXLASSO_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("SIXLASSO_THREADS", threads)
+                records = [_without_runtime(r) for r in run_sweep(spec)]
+                assert draws.count("make_signal") == trials, threads
+                assert draws.count("generate_dataset") == 2 * spec.reps, threads
+                assert len(draws) == trials + 2 * spec.reps, threads
+                if threads is None:
+                    serial = records
+                assert records == serial, threads
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _plane_test_set(n, link, seed):

@@ -297,7 +297,7 @@ class TestKeptDraws:
         sig[:] = -sig
         fresh = generate_dataset(sig, 50, "logistic", 7)
         assert fresh is not first
-        _KEPT.clear()
+        _KEPT.draws.clear()
         cold = generate_dataset(sig, 50, "logistic", 7)
         np.testing.assert_array_equal(fresh.y, cold.y)
 

@@ -1,6 +1,7 @@
 """Tests for the one-BLAS-thread setting that `import sixlasso` makes, for
-records that do not depend on the BLAS thread count, and for the pool's
-modules staying unloaded until a pool runs.
+records that do not depend on the BLAS thread count, for the pool's
+modules staying unloaded until a pool runs, and for a pooled sweep called
+from a plain script.
 
 Each case runs in a fresh interpreter: the pytest process may have imported
 numpy before sixlasso, and then its BLAS keeps whatever threads it started.
@@ -64,9 +65,39 @@ class TestBlasPin:
 
 def test_cli_import_leaves_the_pool_modules_unloaded():
     # a serial sweep, fit, lambda and simulate never start a pool
-    pool_modules = ("concurrent.futures.process", "multiprocessing")
-    probe = "import sys, sixlasso.cli; print(sorted(set(%r) & set(sys.modules)))"
+    pool_modules = ("concurrent.futures", "multiprocessing")
+    probe = ("import sys, sixlasso, sixlasso.cli\n"
+             "sixlasso.run_sweep(sixlasso.SweepSpec(p=20, s=3, n_grid=(30, 60), reps=2,\n"
+             "                                      test_n=200))\n"
+             "print(sorted(set(%r) & set(sys.modules)))")
     assert run_python(["-c", probe % (pool_modules,)], fresh_env()).strip() == "[]"
+
+
+# a script with no `if __name__ == "__main__":` guard: a pool that started
+# fresh interpreters would rerun it in each of them
+UNGUARDED = """
+import sys
+import sixlasso
+from sixlasso.cli import records_csv_text
+
+spec = sixlasso.SweepSpec(p=30, s=3, n_grid=(40, 80), reps=3, estimators=("lasso", "pv"),
+                          test_n=200, base_seed=5)
+sys.stdout.write(records_csv_text(sixlasso.run_sweep(spec)))
+"""
+
+
+def test_unguarded_script_runs_a_pooled_sweep(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED, encoding="utf-8")
+
+    def records(**overrides):
+        out = run_python([str(script)], fresh_env(**overrides))
+        # runtime_ms is last
+        return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+
+    serial = records()
+    assert len(serial) == 1 + 2 * 3 * 2
+    assert records(SIXLASSO_THREADS="2") == serial
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):
