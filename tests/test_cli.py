@@ -23,6 +23,7 @@ from sixlasso.cli import (
     parse_records_csv,
     records_csv_text,
     summary_csv_text,
+    sweep_svg_text,
     write_text_atomic,
 )
 from sixlasso.experiments import SummaryRow, TrialRecord, _failed_metrics, signal_seed
@@ -539,6 +540,14 @@ class TestSweepCommand:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
 
+    def test_missing_config_file_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config),
+                                 "--out", str(tmp_path / "r.csv"))
+        assert (code, out) == (2, "")
+        assert f"cannot read config {config}" in err
+        assert os.listdir(tmp_path) == []
+
     def test_malformed_config_line(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("p: 10\n")
@@ -738,6 +747,16 @@ class TestSweepCommand:
         text = records_csv_text([_record(4, FITTED, True), _record(5, FITTED, True)])
         with pytest.raises(InputError, match="records line 3 has 17 fields, expected 18"):
             parse_records_csv(text.rstrip("\n").rsplit(",", 1)[0] + "\n")
+
+    def test_wrong_header_is_input_error(self):
+        text = records_csv_text([_record(4, FITTED, True)]).replace("trial_id,", "trial,", 1)
+        with pytest.raises(InputError, match="records CSV header does not match the schema"):
+            parse_records_csv(text)
+
+    def test_svg_needs_direction_error_rows(self):
+        rows = [SummaryRow("lasso", 200, "test_accuracy", 0.6, 0.7, 0.8)]
+        with pytest.raises(InputError, match="summary contains no direction_error rows"):
+            sweep_svg_text(rows)
 
     def test_svg_geometry_deterministic(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -302,10 +302,11 @@ class TestFitLasso:
             fit_lasso(_dataset(np.eye(2), [1.0, 0.0]), 1.0, max_iter=2)
 
     def test_iterations_when_n_much_less_than_p(self):
-        # the plain 1/L projected-gradient loop took 800-1500 iterations here
+        # the plain 1/L projected-gradient loop took 800-1500 iterations on
+        # the probit draws; the logistic one is figure 1's smallest n
         sig = make_signal(1200, 10, seed=1)
-        for seed in range(2):
-            data = generate_dataset(sig, 150, "probit", seed=seed)
+        for link, n, seed in [("probit", 150, 0), ("probit", 150, 1), ("logistic", 200, 3)]:
+            data = generate_dataset(sig, n, link, seed=seed)
             fit = fit_lasso(data, radius=np.sqrt(10.0))
             assert fit.converged
             assert fit.iterations <= 400
@@ -559,12 +560,15 @@ class TestPVStart:
         assert fit.objective_path[0] == pytest.approx(self._objective(data, start), rel=1e-12)
 
     def test_zero_correlation_starts_at_zero(self):
-        # X'y = 0: there is no direction, and the fit stays at 0
+        # X'y = 0: there is no direction, and the fit stays at 0; a float32 X
+        # with y = 0 takes X'y through the product's zero-vector branch
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
-        fit = fit_lasso(_dataset(X, [1.0, -1.0]), radius=1.0)
-        assert fit.converged
-        assert fit.objective_path[0] == 1.0
-        np.testing.assert_array_equal(fit.beta_hat, [0.0, 0.0])
+        for design, y, start in ((X, [1.0, -1.0], 1.0), (X.astype(np.float32), [0.0, 0.0], 0.0)):
+            fit = fit_lasso(_dataset(design, y), radius=1.0)
+            assert fit.converged
+            assert fit.iterations == 1
+            assert fit.objective_path[0] == start
+            np.testing.assert_array_equal(fit.beta_hat, [0.0, 0.0])
 
     def test_zero_radius_starts_and_ends_at_zero(self):
         sig = make_signal(50, 3, seed=4)
@@ -654,8 +658,10 @@ class TestPVLinearFit:
         _assert_pv_kkt(g, w, radius)
 
     def test_zero_gradient(self):
-        with pytest.raises(SixLassoError, match="X'y = 0"):
-            pv_linear_fit(_dataset(np.eye(2), [0.0, 0.0]), 1.0)
+        # a float32 X takes X'y through the product's own zero-vector branch
+        for X in (np.eye(2), np.ones((2, 2), np.float32)):
+            with pytest.raises(SixLassoError, match="X'y = 0"):
+                pv_linear_fit(_dataset(X, [0.0, 0.0]), 1.0)
 
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
