@@ -6,9 +6,10 @@ l1-ball projection.  It starts at the fit's own Plan-Vershynin point: the pv
 direction of X'y (E[yx] = lambda beta*, Plan & Vershynin 2016), scaled by the
 exact line-search minimizer along it and capped at the l1 sphere, which lies
 near where the lasso ends.  Its steps use an adaptive backtracked step 1/L
-(Scheinberg, Goldfarb & Bai 2014) and a function-value restart (O'Donoghue &
-Candes 2015).  Once the sign pattern of the iterate has held for 2
-iterations it tries an exact finish: the closed-form minimizer on that
+(Scheinberg, Goldfarb & Bai 2014), with L starting at the curvature of the
+objective along the start's direction, and a function-value restart
+(O'Donoghue & Candes 2015).  Once the sign pattern of the iterate has held
+for 2 iterations it tries an exact finish: the closed-form minimizer on that
 support and those signs (the active-set step of Osborne, Presnell &
 Turlach 2000), from one LU solve with the Gram matrix X_S'X_S; there is no
 finish when LAPACK reports that Gram singular.  The loop also tries it
@@ -29,7 +30,12 @@ generate_dataset draws it, has its full products X'v (the gradient and
 X'y) taken in float32, where they read half the bytes; everything else,
 support products and the exact finish included, runs in float64 (the
 mixed-precision split of Higham & Mary 2022).  A float64 X is fitted in
-float64 throughout.
+float64 throughout.  A float32 product that overflows float32 is refused
+where it overflows.
+
+Both fits make one data check, which also takes X'y: the shapes of X and
+y, the finiteness of y and y'y, and the finiteness of X'y, which a NaN or
+infinite entry of X spoils.  So neither fit makes a pass over X of its own.
 """
 
 from __future__ import annotations
@@ -48,9 +54,6 @@ _STEP_SHRINK = 0.8  # L is multiplied by this before each iteration's first step
 _STABLE_ITERS = 2  # iterations a sign pattern holds before the exact finish is tried
 _FINISH_SLACK = 1e-13  # relative objective rise an exact finish may show (rounding)
 _ROW_BLOCK = 256  # rows of X_S gathered at a time: bounds the gather, keeps it in cache
-# the partial sums of a float32 product stay below this: half float32's
-# largest value, leaving room for rounding
-_F32_SUM_MAX = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,11 @@ class FitResult:
     fp_residual is the projected-gradient fixed-point residual
     ||beta_hat - P(beta_hat - grad/L)||_2 (the optimality certificate);
     lipschitz is that L: the step constant the last step and the
-    certificate used (it starts at lipschitz_estimate, the largest diagonal
-    entry of (2/n)X'X, is shrunk by 0.8 before each iteration and doubled
-    by every failed sufficient-decrease test, so it may end on either side
-    of the start);
+    certificate used (it starts at the curvature (2/n)||Xw||^2/||w||^2
+    along the direction w of the fit's pv start, or at lipschitz_estimate,
+    the largest diagonal entry of (2/n)X'X, when there is no start; it is
+    shrunk by 0.8 before each iteration and doubled by every failed
+    sufficient-decrease test, so it may end on either side of the start);
     backtracks is the number of failed sufficient-decrease tests;
     converged is true when the fit stopped on its own, not by running out of
     MAX_ITER iterations, and fp_residual <= 1e-6, the fit's only stop test;
@@ -145,20 +149,22 @@ def _as_float(X) -> np.ndarray:
 
 
 def lipschitz_estimate(X: np.ndarray) -> float:
-    """Start for the step constant: the largest diagonal entry of (2/n) X'X.
+    """The largest diagonal entry of (2/n) X'X.
 
     That is (2/n) times the largest squared column norm of X, a lower bound
-    on the top eigenvalue of (2/n) X'X that scales by c^2 under X -> cX.  It
-    is only fit_lasso's first step constant, which the fit then shrinks or
-    raises as its steps allow.  An all-zero X, or one whose squares underflow
-    to a start of 0, is degenerate data and raises SixLassoError: doubling
-    could never lift L off 0, and the fit would backtrack forever.  A start
-    that is not finite raises ValueError, since a certificate at L = inf
-    would be vacuous: its message names the NaN or infinite entries of X
-    when there are any, and says the squared column norms overflow
-    otherwise.  This pass over X is the one finiteness check fit_lasso
-    makes of it.  A float32 X is read as it is: its squares are summed in
-    float64 a buffer at a time, with no float64 copy of X.
+    on the top eigenvalue of (2/n) X'X that scales by c^2 under X -> cX.
+    fit_lasso starts its step constant here only when it has no start to
+    measure the curvature along (X'y = 0), or when that curvature
+    underflows to 0 or overflows; the fit then shrinks or raises L as its
+    steps allow.  Criterion 3 uses it as a curvature bound.  An all-zero
+    X, or one whose squares underflow to a start of 0, is degenerate data
+    and raises SixLassoError: doubling could never lift L off 0, and the
+    fit would backtrack forever.  A start that is not finite raises
+    ValueError, since a certificate at L = inf would be vacuous: its
+    message names the NaN or infinite entries of X when there are any, and
+    says the squared column norms overflow otherwise.  A float32 X is read
+    as it is: its squares are summed in float64 a buffer at a time, with no
+    float64 copy of X.
     """
     X = _as_float(X)
     if X.ndim != 2 or X.size == 0:
@@ -175,11 +181,26 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     return L
 
 
-def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """data's X as a float array (_as_float: float32 or float64) and y as a
-    float64 array, each the array itself when it is one already.  An X
-    that is not 2-d or has no rows or no columns, or a y that is not 1-d
-    with one value per row of X, raises ValueError naming it."""
+def _fit_data(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The one data check both fits make, as (X, y, X'y, ||X'y||_2).
+
+    X is a float array (_as_float: float32 or float64) with contiguous
+    columns, and y a float64 array, each the array itself when it is one
+    already.  A row-major X is copied once: a row block of X_S then reads
+    runs of whole columns.  This is a no-op for generate_dataset's
+    column-major X and for a row prefix of it: a sweep fits the first n
+    rows of its rep's draw, and the products then run with the draw's row
+    count as leading dimension.
+
+    An X that is not 2-d or has no rows or no columns, or a y that is not
+    1-d with one value per row of X, raises ValueError naming it.  So does
+    a y with a NaN or infinite entry, then a y whose squared norm
+    overflows, and then an X'y that is not finite or whose l2 norm
+    overflows.  A NaN or infinite entry of X makes its column's X'y NaN or
+    infinite (0 times NaN is NaN), so X'y is the finiteness check of X,
+    and the message says whether X has such entries or the product
+    overflows.  X'y itself is taken by _xt, in X's precision.
+    """
     X = _as_float(data.X)
     y = np.asarray(data.y, dtype=float)
     if X.ndim != 2:
@@ -189,7 +210,23 @@ def _float_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if y.shape != X.shape[:1]:
         raise ValueError(f"y must be 1-d with one value per row of X: X has "
                          f"{X.shape[0]} rows, y has shape {y.shape}")
-    return X, y
+    if X.strides[0] != X.itemsize:
+        X = np.asfortranarray(X)
+    # a NaN or infinite entry makes y'y non-finite too
+    with np.errstate(over="ignore"):
+        yy = float(y @ y)
+    if not math.isfinite(yy):
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite: it has NaN or infinite entries")
+        raise ValueError("the squared norm of y overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        xty = _xt(X, y)
+        xty_norm = float(np.linalg.norm(xty))
+    if not math.isfinite(xty_norm):
+        if not np.isfinite(X).all():
+            raise ValueError("X must be finite: it has NaN or infinite entries")
+        raise ValueError("X'y or its l2 norm overflows")
+    return X, y, xty, xty_norm
 
 
 def _xt(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -199,7 +236,8 @@ def _xt(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     copy of v / max|v|, which the cast can neither overflow nor flush to
     0, and the float64 result is scaled back by max|v|: one n-vector cast
     per product.  An all-zero v gives 0, and a v with a NaN or infinite
-    entry gives NaN.
+    entry gives NaN.  A float32 product of a finite X that overflows
+    float32 raises ValueError: its float64 copy may still fit.
     """
     if X.dtype == np.float64:
         return X.T @ v
@@ -207,7 +245,11 @@ def _xt(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not 0.0 < scale < math.inf:
         return np.full(X.shape[1], scale * 0.0)  # 0, or NaN
     v32 = np.divide(v, scale, out=np.empty(v.shape, X.dtype), casting="same_kind")
-    return np.multiply(X.T @ v32, scale, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        xv = X.T @ v32
+    if not np.isfinite(xv).all() and np.isfinite(X).all():
+        raise ValueError("X is float32 and its product X'v overflows float32: pass X as float64")
+    return np.multiply(xv, scale, dtype=float)
 
 
 def _support_product(X: np.ndarray, S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -243,9 +285,9 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     capped at radius/||w||_1 so that beta_0 lies in the ball (on its
     sphere, to rounding, where the cap binds).  Xw is a support product
     over w's support, so the start costs that product and the one gradient
-    at beta_0.  The start stays at 0 when ||g||_2 is 0 or
-    not finite, or when t is not above 0 (a NaN included); the gradient
-    there is g (-2/n).  By the linear equivalence E[yx] = lambda beta*
+    at beta_0; g comes from the data check (see below).  The start stays
+    at 0 when g = 0, or when t is not above 0 (a NaN included); the
+    gradient there is g (-2/n).  By the linear equivalence E[yx] = lambda beta*
     (Plan & Vershynin 2016) beta_0 sits near the lasso's end, along beta*
     with a norm near lambda, so the first accelerated steps do not spread
     the support over hundreds of columns, as they do from 0 when n << p.
@@ -260,10 +302,15 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     costs one X @ and one X.T @ product.  X's columns are held contiguous
     (a row-major X is copied), and the X @ product touches only the
     columns of x+'s support, gathered 256 rows at a time.  L starts at
-    lipschitz_estimate(X), the largest diagonal entry of (2/n)X'X, a lower
-    bound on its top eigenvalue.  Before each iteration's first step it is
-    multiplied by 0.8, and it is doubled, and the step retried from s,
-    until the step passes the sufficient-decrease test
+    the curvature along the start's direction, (2/n)||Xw||^2/||w||^2, from
+    the Xw the start forms anyway: a Rayleigh quotient of (2/n)X'X, so a
+    lower bound on its top eigenvalue that scales by c^2 under X -> cX,
+    and adaptive backtracking needs only a start (Scheinberg, Goldfarb &
+    Bai 2014).  Where there is no start (g = 0), or that quotient
+    underflows to 0 or overflows, L starts at lipschitz_estimate(X), the
+    largest diagonal entry of (2/n)X'X.  Before each iteration's first
+    step it is multiplied by 0.8, and it is doubled, and the step retried
+    from s, until the step passes the sufficient-decrease test
     (2/n)||X(x+ - s)||^2 <= L||x+ - s||^2 (exact for this quadratic, and
     free: X(x+ - s) is the change in residual).  So L tracks the curvature
     on the iterate's support, which for n << p is a fraction of the top
@@ -340,48 +387,28 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     arrays in the finish: X_S'X_S and one block's product while summing
     (the product is freed as it is added), then X_S'X_S and the copy the
     LU solve factors.  It makes no n x p
-    temporary: the finiteness check of X rides on lipschitz_estimate's
-    column sums of squares.
+    temporary, and the finiteness check of X rides on X'y, which the start
+    needs anyway, not on a pass over X of its own.
 
     The (1/n) normalization does not move the argmin of the unnormalized
     residual sum; it keeps step sizes O(1) across sample sizes.  A radius
-    that is negative or not finite raises ValueError, checked first, and so
-    does an X that is not 2-d or has no rows or no columns, a y that is not
-    1-d with one value per row of X (the shape check pv_linear_fit shares),
-    a NaN or infinite entry in X or y, an X whose squared column norms
-    overflow, a float32 X whose products could overflow float32 (sqrt(n)
-    times its largest column norm reaches 1.7e38, half float32's range; its
-    float64 copy fits) or a y whose squared norm overflows: each message
-    names X, y or the radius.  An X that is
-    identically zero, or whose squares all underflow to 0, is degenerate
-    data and raises SixLassoError (lipschitz_estimate).
+    that is negative or not finite raises ValueError, checked first.  Then
+    the data check pv_linear_fit shares raises ValueError on an X that is
+    not 2-d or has no rows or no columns, a y that is not 1-d with one
+    value per row of X, a NaN or infinite entry in y, a y whose squared
+    norm overflows, a NaN or infinite entry in X, and an X'y or an l2 norm
+    of it that overflows, in that order.  A float32 X whose product X'v
+    overflows float32, at X'y or at any gradient, raises ValueError where
+    it overflows (its float64 copy may fit).  Where L starts at
+    lipschitz_estimate, an X whose squared column norms overflow raises
+    ValueError, and an X that is identically zero, or whose squares all
+    underflow to 0, is degenerate data and raises SixLassoError.  Each
+    message names X, y or the radius.
     """
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
-    X, y = _float_arrays(data)
-    # contiguous columns, so that a row block of X_S reads runs of whole
-    # columns: a no-op for generate_dataset's column-major X and for a row
-    # prefix of it (a sweep fits the first n rows of its rep's draw; the
-    # products then run with the draw's row count as leading dimension),
-    # one copy for a row-major X
-    if X.strides[0] != X.itemsize:
-        X = np.asfortranarray(X)
-    # one pass over y, as lipschitz_estimate makes over X: a NaN or infinite
-    # entry makes y'y non-finite too
-    with np.errstate(over="ignore"):
-        yy = float(y @ y)
-    if not math.isfinite(yy):
-        if not np.isfinite(y).all():
-            raise ValueError("y must be finite: it has NaN or infinite entries")
-        raise ValueError("the squared norm of y overflows")
+    X, y, xty, xty_norm = _fit_data(data)
     n, p = X.shape
-
-    L = lipschitz_estimate(X)  # raises on a NaN or infinite entry of X
-    # a partial sum of the float32 product X_j'(v / max|v|) is at most
-    # ||X_j||_2 sqrt(n) = n sqrt(L/2) (Cauchy-Schwarz)
-    if X.dtype == np.float32 and not n * math.sqrt(L / 2.0) < _F32_SUM_MAX:
-        raise ValueError("X is float32 and its products X'v could overflow float32: "
-                         "pass X as float64")
     backtracks = 0
 
     def gradient(r):
@@ -470,17 +497,17 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
             return cand, r_new, g_new, min(f_new, fb), cert
         return None
 
-    # the pv start t w (see above), or 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y starts at 0
-        xty = _xt(X, y)
-        xty_norm = np.linalg.norm(xty)
-    beta, t_start = np.zeros(p), 0.0
-    if math.isfinite(xty_norm) and xty_norm > 0.0:
+    # the pv start t w (see above), or 0, and L at the curvature along w
+    beta, t_start, L = np.zeros(p), 0.0, 0.0
+    if xty_norm > 0.0:
         w = _pv_direction(xty, xty_norm, max(radius, 1.0))
         S = w.nonzero()[0]
         xw = _support_product(X, S, w[S])
         with np.errstate(all="ignore"):
+            L = float((2.0 / n) * (xw @ xw) / (w @ w))
             t_start = min(float((xw @ y) / (xw @ xw)), radius / float(np.abs(w).sum()))
+    # no start, or ||Xw||^2 underflows to 0 or overflows
+    L = L if 0.0 < L < math.inf else lipschitz_estimate(X)
     if t_start > 0.0:  # False for a NaN too
         beta[S] = t_start * w[S]
         xw *= t_start
@@ -578,31 +605,27 @@ def pv_linear_fit(data: Dataset, l1_radius: float) -> np.ndarray:
     the l1 sphere, and the maximizer is that tied face scaled onto it.
 
     fit_lasso starts along this maximizer at l1 radius max(radius, 1):
-    both run the rule after X'y through one private helper.  X'y is taken
-    in X's precision as in fit_lasso (float32 for a float32 X, on
-    y / max|y|, with a float64 result), and the rule after it in float64.
+    both take X'y from one data check and run the rule after it through
+    one private helper.  X'y is taken in X's precision (float32 for a
+    float32 X, on y / max|y|, with a float64 result), and the rule after
+    it in float64.  A row-major X is copied to contiguous columns first,
+    as fit_lasso needs.
 
-    A NaN l1_radius, or one below 1, raises ValueError, and so does an X
-    that is not 2-d or has no rows or no columns, a y that is not 1-d with
-    one value per row of X (the shape check fit_lasso shares, its message
-    naming X or y), or an X'y that is not finite (for a float32 X, also
-    one whose float32 product X'(y / max|y|) overflows) or whose l2 norm
-    overflows: the message says whether X or y has NaN or infinite entries
-    or the product overflows.  X'y = 0 is degenerate data and raises SixLassoError.
+    A NaN l1_radius, or one below 1, raises ValueError.  Then the data
+    check fit_lasso shares raises ValueError, its message naming X or y,
+    on an X that is not 2-d or has no rows or no columns, a y that is not
+    1-d with one value per row of X, a NaN or infinite entry in y, a y
+    whose squared norm overflows, a NaN or infinite entry in X, and an X'y
+    or an l2 norm of it that overflows (for a float32 X, a float32 product
+    X'(y / max|y|) that overflows is refused as such).  X'y = 0 is
+    degenerate data and raises SixLassoError.
     """
     if math.isnan(l1_radius):
         raise ValueError("l1_radius must not be NaN")
     if l1_radius < 1.0:
         raise ValueError(f"l1_radius must be >= 1 (got {l1_radius}); "
                          "smaller radii reduce to a single l1-ball vertex")
-    X, y = _float_arrays(data)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        g = _xt(X, y)
-        gnorm = np.linalg.norm(g)
-    if not math.isfinite(gnorm):
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("X'y is not finite: X or y has NaN or infinite entries")
-        raise ValueError("X'y or its l2 norm overflows")
+    _, _, g, gnorm = _fit_data(data)
     if gnorm == 0.0:
         raise SixLassoError("X'y = 0: no directional information in the data")
     return _pv_direction(g, gnorm, l1_radius)

@@ -141,14 +141,16 @@ class TestFitCommand:
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
 
     def test_reports_lipschitz_after_fp_residual(self, tmp_path, capsys):
-        # (2/2) X'X = diag(9, 1): L starts at its largest diagonal entry, 9.
-        # Each of the 3 iterations first multiplies L by 0.8.  Iteration 1
-        # tries 0 - grad/7.2 = (5/12, 5/36), projects it onto the ball of
-        # radius 0.5 at (7/18, 1/9), and meets a curvature of 8.40 along that
-        # move, above L = 7.2: the sufficient-decrease test fails and L
-        # doubles to 14.4.  Iterations 2 and 3 run at L = 11.52 and 9.216,
-        # at least the top curvature 9, so they cannot fail.  The signs
-        # (+, +) have then held for 2 iterations, and the exact finish, the
+        # (2/2) X'X = diag(9, 1) and X'y = (3, 1): the start's pv direction
+        # at l1 radius 1 is w = e1, the fit starts at (1/3, 0), and L starts
+        # at the curvature along w, 9.  Each of the 3 iterations first
+        # multiplies L by 0.8.  Iteration 1, at L = 7.2, steps along e2 to
+        # (1/3, 5/36), inside the ball, where the curvature is 1, and
+        # iteration 2, at L = 5.76, passes too.  Iteration 3, at L = 4.608,
+        # meets a curvature of 4.72 along its projected move: the
+        # sufficient-decrease test fails and L doubles to 9.216, at least
+        # the top curvature 9, so it cannot fail again.  The signs (+, +)
+        # have then held for 2 iterations, and the exact finish, the
         # minimizer (1/4, 1/4) on the face beta_1 + beta_2 = 0.5, passes
         # the certificate and ends the fit: L ends at 9 * 0.8^3 * 2
         code, out = self._fit_diag_9_1(tmp_path, capsys)

@@ -227,6 +227,12 @@ def _dataset(X, y):
     return Dataset(X=X, y=np.asarray(y, float))
 
 
+def _precisions_and_orders(X):
+    """X as float64 and float32, each row-major and column-major."""
+    return [np.array(X, dtype, order=order)
+            for dtype in (np.float64, np.float32) for order in ("C", "F")]
+
+
 def _prefix_view():
     """The first 3000 rows of a column-major 3100 x 1200 logistic draw."""
     sig = make_signal(1200, 10, seed=9)
@@ -322,13 +328,21 @@ class TestFitLasso:
         top = float(np.linalg.eigvalsh((2.0 / n) * X.T @ X)[-1])
         return X, y, top
 
+    @staticmethod
+    def _start_curvature(X, y):
+        """fit_lasso's first L: (2/n)||Xw||^2/||w||^2 along the pv direction
+        w of its start, at l1 radius 1 here."""
+        w = pv_linear_fit(_dataset(X, y), 1.0)
+        Xw = X @ w
+        return (2.0 / X.shape[0]) * float(Xw @ Xw) / float(w @ w)
+
     def test_start_below_half_the_top_eigenvalue(self):
         # L starts below half the top eigenvalue; the fit starts near the top
         # eigenvector, along X'y, and its steps across the flat directions
         # need no backtrack, so L may end below its start but not above twice
         # the top
         X, y, top = self._correlated_design([0.6, 0.3, 0.4])
-        start = lipschitz_estimate(X)
+        start = self._start_curvature(X, y)
         assert start < 0.5 * top
         fit = fit_lasso(_dataset(X, y), radius=1.0)
         assert fit.converged
@@ -347,7 +361,7 @@ class TestFitLasso:
         # steps meet its curvature, and backtracking must raise L above a
         # start below half of it
         X, y, top = self._correlated_design([0.6, 0.3, -0.4])
-        start = lipschitz_estimate(X)
+        start = self._start_curvature(X, y)
         assert start < 0.5 * top
         fit = fit_lasso(_dataset(X, y), radius=1.0)
         assert fit.converged
@@ -472,12 +486,56 @@ class TestFitLasso:
         for bad in (np.nan, np.inf, -np.inf):
             X = np.eye(3)
             X[1, 2] = bad
-            with pytest.raises(ValueError, match="finite"):
-                fit_lasso(_dataset(X, [1.0, 0.0, 0.0]), radius=1.0)
+            # the bad entry sits in a row whose label is 0: X'y still reads
+            # it (0 times NaN or inf is NaN), in either precision and order
+            for design in _precisions_and_orders(X):
+                with pytest.raises(ValueError, match="finite"):
+                    fit_lasso(_dataset(design, [1.0, 0.0, 0.0]), radius=1.0)
             with pytest.raises(ValueError, match="finite"):
                 fit_lasso(_dataset(np.eye(3), [1.0, bad, 0.0]), radius=1.0)
             with pytest.raises(ValueError, match="radius must be finite"):
                 fit_lasso(_dataset(np.eye(3), [1.0, 0.0, 0.0]), radius=bad)
+
+    @staticmethod
+    def _lipschitz_calls(monkeypatch):
+        """The shapes of the X that fit_lasso passes to lipschitz_estimate,
+        appended as it calls it."""
+        calls = []
+
+        def spy(X):
+            calls.append(X.shape)
+            return lipschitz_estimate(X)
+
+        monkeypatch.setattr("sixlasso.solver.lipschitz_estimate", spy)
+        return calls
+
+    def test_a_start_makes_no_lipschitz_pass(self, monkeypatch):
+        # L starts at the curvature along the pv start's direction
+        calls = self._lipschitz_calls(monkeypatch)
+        sig = make_signal(300, 5, seed=7)
+        for link in ("logistic", "linear"):
+            data = generate_dataset(sig, 80, link, seed=8)
+            for d in (data, _float64_copy(data)):
+                assert fit_lasso(d, radius=2.0).converged
+        assert calls == []
+
+    def test_no_start_makes_the_lipschitz_pass(self, monkeypatch):
+        # X'y = 0: no direction to measure the curvature along
+        calls = self._lipschitz_calls(monkeypatch)
+        fit = fit_lasso(_dataset(np.array([[1.0, 2.0], [1.0, 2.0]]), [1.0, -1.0]), 1.0)
+        assert fit.converged
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("X, y", [(np.zeros((4, 3)), [1.0, -1.0, 1.0, -1.0]),
+                                      (np.diag([1e-200, 1e-200]), [1.0, -1.0])],
+                             ids=["zero", "underflow"])
+    def test_degenerate_design_raises_through_the_lipschitz_pass(self, monkeypatch, X, y):
+        # a zero X has no start; an underflowing one has a start whose
+        # curvature underflows to 0: the pass refuses both
+        calls = self._lipschitz_calls(monkeypatch)
+        with pytest.raises(SixLassoError, match="identically zero"):
+            fit_lasso(_dataset(X, y), radius=1.0)
+        assert calls == [X.shape]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_labels_rejected(self):
@@ -679,6 +737,19 @@ class TestPVLinearFit:
         X[0, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             pv_linear_fit(_dataset(X, [3.0, 2.0, 1.0]), 1.5)
+        # in a row whose label is 0, in either precision and order
+        X = np.eye(3)
+        X[2, 1] = bad
+        for design in _precisions_and_orders(X):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                pv_linear_fit(_dataset(design, [3.0, 2.0, 0.0]), 1.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_labels_named(self):
+        # every label is finite but y'y is not; X'y is finite
+        X = np.full((3, 2), 1e-200)
+        with pytest.raises(ValueError, match="the squared norm of y overflows"):
+            pv_linear_fit(_dataset(X, [1e300, 1e300, 1e300]), 1.5)
 
     def test_overflowing_product_named(self):
         X = np.array([[1e308, 1.0], [1e308, 2.0]])
@@ -784,3 +855,18 @@ class TestFloat32Design:
         with pytest.raises(ValueError, match="X is float32 .* pass X as float64"):
             fit_lasso(_dataset(X, y), radius=1.0)
         assert fit_lasso(_float64_copy(_dataset(X, y)), radius=1.0).converged
+        with pytest.raises(ValueError, match="X is float32 .* pass X as float64"):
+            pv_linear_fit(_dataset(X, y), 1.0)
+
+    def test_products_within_float32s_range_are_fitted(self):
+        # sqrt(n) times the column norm, 4e38, passes float32's range, but the
+        # alternating signs keep every product of the fits inside it
+        X = np.tile(np.float32([[1e37], [-1e37]]), (20, 1))
+        y = np.ones(40)
+        y[0] = 5.0
+        data, copy = _dataset(X, y), _float64_copy(_dataset(X, y))
+        fit, ref = fit_lasso(data, radius=1.0), fit_lasso(copy, radius=1.0)
+        assert fit.converged and ref.converged
+        np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pv_linear_fit(data, 1.0), pv_linear_fit(copy, 1.0),
+                                   rtol=1e-12, atol=0)
