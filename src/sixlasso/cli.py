@@ -43,12 +43,14 @@ error.  Importing sixlasso sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they
 are unset.
 
-Exit codes: 0 success, 1 degenerate data (SixLassoError: an all-zero or
-underflowing design, X'y = 0, a zero fitted vector), 2 input error (a
-ValueError: a bad argument, file or flag, InputError included), 3 output
-error (OutputError).  The commands check what only the CLI sees (files,
-flags, the labels' layout, --seed's 64-bit range) and leave every other
-argument to the library function that takes it.
+Exit codes: 0 success, 1 degenerate data (SixLassoError: for `fit`, an
+all-zero or underflowing design), 2 input error (a ValueError: a bad
+argument, file or flag, InputError included), 3 output error (OutputError).
+X'y = 0 is not degenerate for `fit`: the lasso's minimizer is then 0, which
+it prints, exiting 0; pv_linear_fit and a sweep's metrics refuse it, and a
+sweep records such a trial as failed.  The commands check what only the
+CLI sees (files, flags, the labels' layout, --seed's 64-bit range) and
+leave every other argument to the library function that takes it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -212,12 +215,19 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
 
     One polyline per estimator on linear axes inside an 800x500 viewBox;
     geometry depends only on the summary rows, so identical input renders
-    identical bytes.
+    identical bytes.  A NaN median (a cell where every trial failed) has
+    no point and does not set the y axis, but its n keeps its tick; an
+    estimator with no finite median has no polyline but keeps its legend
+    entry.
     """
     series: dict[str, list[tuple[int, float]]] = {}
+    ns = set()
     for row in summary_rows:
         if row.metric == "direction_error":
-            series.setdefault(row.estimator, []).append((row.n, row.median))
+            ns.add(row.n)
+            pts = series.setdefault(row.estimator, [])
+            if math.isfinite(row.median):
+                pts.append((row.n, row.median))
     if not series:
         raise InputError("summary contains no direction_error rows")
     for pts in series.values():
@@ -225,10 +235,10 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
 
     width, height = 800.0, 500.0
     left, right, top, bottom = 70.0, 30.0, 30.0, 60.0
-    ns = sorted({n for pts in series.values() for n, _ in pts})
+    ns = sorted(ns)
     n_lo, n_hi = float(ns[0]), float(ns[-1])
     span_n = n_hi - n_lo if n_hi > n_lo else 1.0
-    y_hi = max(v for pts in series.values() for _, v in pts)
+    y_hi = max((v for pts in series.values() for _, v in pts), default=0.0)
     y_hi = y_hi * 1.1 if y_hi > 0 else 1.0
 
     def px(n):
@@ -268,7 +278,9 @@ def sweep_svg_text(summary_rows: list[SummaryRow]) -> str:
     for est in sorted(series):
         color = _COLORS[est]
         pts = " ".join(f"{px(n):.2f},{py(v):.2f}" for n, v in series[est])
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
+        if pts:
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                         'stroke-width="2"/>')
 
     ly = top + 10
     for est in sorted(series):
@@ -306,15 +318,19 @@ def read_numeric_csv(path: str, what: str) -> np.ndarray:
         if len(row) != width:
             raise InputError(f"{what} file {path}: line {line} has {len(row)} "
                              f"fields, expected {width}")
-        for j, cell in enumerate(row):
+        values = []  # one row at a time: a list of the whole file's floats
+        # would take 32 bytes an entry beside the array's 8
+        for j, cell in enumerate(row, start=1):
             try:
-                data[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
-                raise InputError(f"{what} file {path}: line {line}, column {j + 1}: "
+                raise InputError(f"{what} file {path}: line {line}, column {j}: "
                                  f"non-numeric value {cell!r}") from None
-            if not np.isfinite(data[i, j]):
-                raise InputError(f"{what} file {path}: line {line}, column {j + 1}: "
+            if not math.isfinite(value):
+                raise InputError(f"{what} file {path}: line {line}, column {j}: "
                                  f"non-finite value {cell!r}")
+            values.append(value)
+        data[i] = values
     return data
 
 
@@ -352,21 +368,6 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _pick(flags: argparse.Namespace, cfg: dict[str, str], key: str, required=False):
-    val = getattr(flags, key, None)  # None too for a config-only key: it has no flag
-    if val is not None:
-        return val
-    if key in cfg:
-        convert, _ = _SWEEP_SETTINGS[key]
-        try:
-            return convert(cfg[key])
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-            raise InputError(f"config key {key}: {exc}") from exc
-    if required:
-        raise InputError(f"missing required setting {key!r} (flag or config)")
-    return None
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     # an argparse type: argparse turns ArgumentTypeError into a usage error
     try:
@@ -380,19 +381,19 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-# The sweep settings that make up its SweepSpec: config key -> (conversion,
-# the choices its flag offers).  Every key but the config-only ones has a
-# `sweep` flag, --key with _ as -, which stores under the key's name.
-_SPEC_SETTINGS = {
+# The sweep's settings: config key -> (conversion, the choices its flag
+# offers).  Every key but the config-only ones has a `sweep` flag, --key with
+# _ as -, which stores under the key's name.  All but out, the records path,
+# make up its SweepSpec; out comes last (see _sweep_spec_from).
+_SWEEP_SETTINGS = {
     "p": (int, None), "s": (int, None), "n_grid": (_parse_int_list, None),
     "link": (str, LINK_KINDS), "radius_rule": (str, RADIUS_RULES),
     "radius": (float, None), "reps": (int, None), "seed": (int, None),
-    "estimators": (_parse_names, None), "test_n": (int, None),
+    "estimators": (_parse_names, None), "test_n": (int, None), "out": (str, None),
 }
 _CONFIG_ONLY = ("test_n",)
 # the SweepSpec fields named otherwise than their config keys
 _SPEC_FIELDS = {"radius": "radius_value", "seed": "base_seed"}
-_SWEEP_SETTINGS = {**_SPEC_SETTINGS, "out": (str, None)}
 SWEEP_CONFIG_KEYS = tuple(_SWEEP_SETTINGS)
 
 
@@ -462,14 +463,26 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_spec_from(args) -> tuple[SweepSpec, str]:
+    """The sweep's SweepSpec and records path: each setting from its flag,
+    else from its config key.  A bad config value or a missing required
+    setting is an input error, raised in the table's key order, so
+    SweepSpec's own checks come before a missing out."""
     cfg = load_config(args.config) if args.config else {}
     given = {}
-    for key in _SPEC_SETTINGS:
-        value = _pick(args, cfg, key, required=key in ("p", "s", "n_grid"))
+    for key, (convert, _) in _SWEEP_SETTINGS.items():
+        if key == "out":  # the last key: the spec is complete and checked first
+            spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
+        value = getattr(args, key, None)  # None too for a config-only key: it has no flag
+        if value is None and key in cfg:
+            try:
+                value = convert(cfg[key])
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                raise InputError(f"config key {key}: {exc}") from exc
         if value is not None:
             given[_SPEC_FIELDS.get(key, key)] = value
-    spec = SweepSpec(**given)  # SweepSpec's defaults fill in the rest
-    return spec, _pick(args, cfg, "out", required=True)
+        elif key in ("p", "s", "n_grid", "out"):
+            raise InputError(f"missing required setting {key!r} (flag or config)")
+    return spec, given["out"]
 
 
 def cmd_sweep(args) -> int:
@@ -546,15 +559,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except OutputError as exc:
+    except (OutputError, SixLassoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SixLassoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, OutputError) else 1 if isinstance(exc, SixLassoError) else 2
 
 
 if __name__ == "__main__":

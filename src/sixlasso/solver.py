@@ -122,10 +122,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("v must have at least one axis, got a 0-d array")
     a = np.abs(v)
     total = a.sum()
-    if not math.isfinite(total):
-        if np.isfinite(a).all():
-            raise ValueError("the l1 norm of v overflows")
-        raise ValueError("v must be finite: it has NaN or infinite entries")
+    _refuse_unless_finite(total, a, "v", "the l1 norm of v overflows")
     if total <= radius:
         return v.copy()
     u = np.sort(a, axis=None)[::-1]
@@ -139,6 +136,17 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     np.maximum(a, 0.0, out=a)
     a *= np.sign(v)
     return a
+
+
+def _refuse_unless_finite(total: float, a: np.ndarray, name: str, overflow: str) -> None:
+    """Raise ValueError when total, a sum over the array a, is not finite:
+    naming a's NaN or infinite entries when it has any, which spoil the
+    sum, and with the message overflow when it has none, so that the sum
+    itself overflowed.  A finite total costs no pass over a."""
+    if not math.isfinite(total):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite: it has NaN or infinite entries")
+        raise ValueError(overflow)
 
 
 def _as_float(X) -> np.ndarray:
@@ -156,10 +164,13 @@ def lipschitz_estimate(X: np.ndarray) -> float:
     fit_lasso starts its step constant here only when it has no start to
     measure the curvature along (X'y = 0), or when that curvature
     underflows to 0 or overflows; the fit then shrinks or raises L as its
-    steps allow.  Criterion 3 uses it as a curvature bound.  An all-zero
-    X, or one whose squares underflow to a start of 0, is degenerate data
-    and raises SixLassoError: doubling could never lift L off 0, and the
-    fit would backtrack forever.  A start that is not finite raises
+    steps allow.  fit_lasso also calls it once when a fit ends
+    unconverged, to refuse an X whose squared column norms overflow on a
+    column off the start's support (its steps stall there rather than
+    fail).  Criterion 3 uses it as a curvature bound.  An all-zero X, or
+    one whose squares underflow to a start of 0, is degenerate data and
+    raises SixLassoError: doubling could never lift L off 0, and the fit
+    would backtrack forever.  A start that is not finite raises
     ValueError, since a certificate at L = inf would be vacuous: its
     message names the NaN or infinite entries of X when there are any, and
     says the squared column norms overflow otherwise.  A float32 X is read
@@ -173,11 +184,8 @@ def lipschitz_estimate(X: np.ndarray) -> float:
         L = (2.0 / X.shape[0]) * float(np.einsum("ij,ij->j", X, X, dtype=float).max())
     if L == 0.0:
         raise SixLassoError("X is identically zero, or its squares underflow to 0")
-    if not np.isfinite(L):
-        # a NaN or inf entry makes its column's sum of squares non-finite too
-        if not np.isfinite(X).all():
-            raise ValueError("X must be finite: it has NaN or infinite entries")
-        raise ValueError("the squared column norms of X overflow")
+    # a NaN or inf entry makes its column's sum of squares non-finite too
+    _refuse_unless_finite(L, X, "X", "the squared column norms of X overflow")
     return L
 
 
@@ -214,18 +222,11 @@ def _fit_data(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]
         X = np.asfortranarray(X)
     # a NaN or infinite entry makes y'y non-finite too
     with np.errstate(over="ignore"):
-        yy = float(y @ y)
-    if not math.isfinite(yy):
-        if not np.isfinite(y).all():
-            raise ValueError("y must be finite: it has NaN or infinite entries")
-        raise ValueError("the squared norm of y overflows")
+        _refuse_unless_finite(float(y @ y), y, "y", "the squared norm of y overflows")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         xty = _xt(X, y)
         xty_norm = float(np.linalg.norm(xty))
-    if not math.isfinite(xty_norm):
-        if not np.isfinite(X).all():
-            raise ValueError("X must be finite: it has NaN or infinite entries")
-        raise ValueError("X'y or its l2 norm overflows")
+    _refuse_unless_finite(xty_norm, X, "X", "X'y or its l2 norm overflows")
     return X, y, xty, xty_norm
 
 
@@ -367,7 +368,12 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     from beta rises by rounding (that iteration keeps beta and repeats its
     objective in objective_path); converged is true only when the
     certificate passes.  A fit that runs out of its MAX_ITER = 5000
-    iterations is never converged.
+    iterations is never converged.  A fit that ends unconverged makes the
+    pass lipschitz_estimate(X) before it returns, and raises what that
+    pass raises (see below): the pv start can avoid a column whose squares
+    overflow, whose gradient entry then rounds the steps toward it to
+    nothing, so the fit would stall unconverged on data it cannot fit.  A
+    converged fit makes no such pass.
 
     Precision: X keeps the dtype it arrives in, float32 or float64 (any
     other is copied to float64); y is float64.  With a float32 X, each
@@ -400,10 +406,10 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
     of it that overflows, in that order.  A float32 X whose product X'v
     overflows float32, at X'y or at any gradient, raises ValueError where
     it overflows (its float64 copy may fit).  Where L starts at
-    lipschitz_estimate, an X whose squared column norms overflow raises
-    ValueError, and an X that is identically zero, or whose squares all
-    underflow to 0, is degenerate data and raises SixLassoError.  Each
-    message names X, y or the radius.
+    lipschitz_estimate, or the fit ends unconverged, an X whose squared
+    column norms overflow raises ValueError, and an X that is identically
+    zero, or whose squares all underflow to 0, is degenerate data and
+    raises SixLassoError.  Each message names X, y or the radius.
     """
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
@@ -578,12 +584,17 @@ def fit_lasso(data: Dataset, radius: float) -> FitResult:
         z_grad = _extrapolate(grad, grad_prev, mom)
     if fp_residual is None:
         fp_residual = cert_residual(beta, grad)
+    converged = stopped and fp_residual <= _CERT_TOL
+    if not converged:
+        # a column whose squares overflow can lie off the start's support,
+        # where the steps stall on it: the pass refuses such an X
+        lipschitz_estimate(X)
 
     return FitResult(
         beta_hat=beta,
         objective=f,
         iterations=iterations,
-        converged=stopped and fp_residual <= _CERT_TOL,
+        converged=converged,
         fp_residual=fp_residual,
         lipschitz=L,
         backtracks=backtracks,

@@ -340,6 +340,21 @@ class TestFitCommand:
         assert out == ""
         assert "overflow" in err
 
+    def test_design_overflowing_off_the_start_is_input_error(self, tmp_path, capsys):
+        # the fit's start lies along the second column, and its steps toward
+        # the first, whose squares overflow, round to nothing: the fit would
+        # end unconverged at (0, 0.6), and is refused instead
+        design = tmp_path / "X.csv"
+        labels = tmp_path / "y.csv"
+        design.write_text("1e160,1\n-1e160,2\n")
+        labels.write_text("1\n1\n")
+        fitted = tmp_path / "fit.txt"
+        code, out, err = run_cli(capsys, "fit", str(design), str(labels), "--radius", "1",
+                                 "--out", str(fitted))
+        assert (code, out) == (2, "")
+        assert "the squared column norms of X overflow" in err
+        assert sorted(os.listdir(tmp_path)) == ["X.csv", "y.csv"]
+
     def test_overflowing_labels_are_input_error(self, tmp_path, capsys):
         # finite labels whose squared norm overflows: refused as y, not
         # inside the projection under its argument's name v
@@ -541,6 +556,31 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(config),
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
+
+    # settings are taken in the table's key order: a missing p is named
+    # before a later key's bad value, and out is checked last
+    @pytest.mark.parametrize("config_text, give_out, named", [
+        ("p = 10\n", True, "'s'"),
+        ("s = 2\nn_grid = 50,x\n", True, "'p'"),
+        (SMOKE_CONFIG, False, "'out'"),
+    ], ids=["s", "p-before-bad-n_grid", "out"])
+    def test_missing_required_setting_is_named(self, tmp_path, capsys, config_text,
+                                               give_out, named):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(config_text)
+        out_flag = ["--out", str(tmp_path / "r.csv")] if give_out else []
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), *out_flag)
+        assert (code, out) == (2, "")
+        assert f"missing required setting {named} (flag or config)" in err
+        assert os.listdir(tmp_path) == ["sweep.cfg"]
+
+    def test_spec_error_is_reported_before_a_missing_out(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMOKE_CONFIG)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--radius", "0.01")
+        assert (code, out) == (2, "")
+        assert "radius_value" in err and "'out'" not in err
+        assert os.listdir(tmp_path) == ["sweep.cfg"]
 
     def test_missing_config_file_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "absent.cfg"
@@ -759,6 +799,32 @@ class TestSweepCommand:
         rows = [SummaryRow("lasso", 200, "test_accuracy", 0.6, 0.7, 0.8)]
         with pytest.raises(InputError, match="summary contains no direction_error rows"):
             sweep_svg_text(rows)
+
+    def test_svg_leaves_out_nan_medians(self):
+        # a cell where every trial failed has a NaN median: its n stays on the
+        # x axis, it has no point, and the finite medians set the y axis even
+        # when the NaN comes first
+        nan = float("nan")
+        svg_ns = {"svg": "http://www.w3.org/2000/svg"}
+        rows = [SummaryRow("lasso", 100, "direction_error", nan, nan, nan),
+                SummaryRow("lasso", 200, "direction_error", 0.4, 0.5, 0.6),
+                SummaryRow("lasso", 300, "direction_error", 0.2, 0.25, 0.3),
+                SummaryRow("pv", 100, "direction_error", nan, nan, nan)]
+        svg = sweep_svg_text(rows)
+        assert "nan" not in svg
+        root = ET.fromstring(svg)
+        [polyline] = root.findall(".//svg:polyline", svg_ns)  # pv has no finite median
+        assert polyline.get("points") == "420.00,67.27 770.00,253.64"
+        texts = [el.text for el in root.findall(".//svg:text", svg_ns)]
+        assert texts[:3] == ["100", "200", "300"]
+        assert "0.55" in texts  # the top tick: 1.1 times the largest median
+        assert "lasso" in texts and "pv" in texts
+        # every median NaN: the axes and the legend still render
+        root = ET.fromstring(sweep_svg_text(rows[:1]))
+        assert root.findall(".//svg:polyline", svg_ns) == []
+        assert len(root.findall(".//svg:line", svg_ns)) == 2 + 1 + 6 + 1
+        texts = [el.text for el in root.findall(".//svg:text", svg_ns)]
+        assert {"100", "n", "direction error", "lasso"} <= set(texts)
 
     def test_svg_geometry_deterministic(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

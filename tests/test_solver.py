@@ -537,6 +537,16 @@ class TestFitLasso:
             fit_lasso(_dataset(X, y), radius=1.0)
         assert calls == [X.shape]
 
+    def test_overflowing_column_off_the_start_is_refused(self, monkeypatch):
+        # the pv start lies along e2, whose curvature is finite, so L starts
+        # there; the steps toward the first column round to nothing at 1e159,
+        # and the fit stalls unconverged: that stop makes the Lipschitz pass
+        calls = self._lipschitz_calls(monkeypatch)
+        X = np.array([[1e160, 1.0], [-1e160, 2.0]])
+        with pytest.raises(ValueError, match="the squared column norms of X overflow"):
+            fit_lasso(_dataset(X, [1.0, 1.0]), radius=1.0)
+        assert calls == [(2, 2)]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_labels_rejected(self):
         # every label is finite but y'y is not: the fit refuses y by name,
